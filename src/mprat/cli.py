@@ -6,12 +6,13 @@ compact separators and a fixed key order, so identical inputs give
 byte-identical output.
 
 Exit codes: 0 success or zero verdict, 1 nonzero witness or not invertible,
-2 usage or parse error, 3 undefined at the given point.
+2 usage or parse error, 3 undefined at the given point, 4 internal error
+(any other exception, such as a RecursionError on very deep nesting; one
+"error: ..." line goes to stderr and nothing to stdout).
 """
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -196,16 +197,9 @@ def verdict_report(v) -> tuple[dict, int]:
 
 
 def build_config(ns) -> TestConfig:
-    seed = ns.seed
-    env = os.environ.get("MPRAT_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise CliError(f"MPRAT_SEED must be an integer (got {env!r})") from None
     try:
         return TestConfig(max_level=ns.max_level, trials_per_level=ns.trials,
-                          entry_bound=ns.bound, seed=seed)
+                          entry_bound=ns.bound, seed=ns.seed)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
@@ -375,8 +369,7 @@ def _add_config(p):
     p.add_argument("--max-level", type=int, default=4, metavar="L")
     p.add_argument("--trials", type=int, default=8, metavar="T")
     p.add_argument("--bound", type=int, default=10, metavar="B")
-    p.add_argument("--seed", type=int, default=0, metavar="S",
-                   help="overridden by the MPRAT_SEED environment variable")
+    p.add_argument("--seed", type=int, default=0, metavar="S")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -458,8 +451,13 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         report, code = ns.handler(ns)
+        out = json.dumps(report, separators=(",", ":"))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(report, separators=(",", ":")))
+    except Exception as exc:
+        detail = " ".join(str(exc).split())
+        print(f"error: internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 4
+    print(out)
     return code

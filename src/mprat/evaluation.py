@@ -142,8 +142,10 @@ class Evaluator:
     """Bottom-up evaluator over one NcPoint, memoizing shared subtrees.
 
     Reusable across expressions over the same point (matrix_rational
-    evaluates whole expression matrices through one instance).  A cached
-    Undefined keeps the path where it was first discovered.
+    evaluates whole expression matrices through one instance).  The memo
+    maps id(node) to (node, value); holding the node keeps its id from
+    being reused by a later expression.  A cached Undefined keeps the path
+    where it was first discovered.
     """
 
     def __init__(self, point: NcPoint):
@@ -152,7 +154,7 @@ class Evaluator:
         self.field = point.field
         self.lookup = {(v.part, v.index, v.primed): m
                        for v, m in zip(point.alphabet.letters(), point.mats)}
-        self.memo: dict[int, Matrix | Undefined] = {}
+        self.memo: dict[int, tuple[Expr, Matrix | Undefined]] = {}
 
     def run(self, e: Expr) -> Matrix | Undefined:
         validate_vars(e, self.point.alphabet)
@@ -161,7 +163,7 @@ class Evaluator:
     def _rec(self, node: Expr, path: tuple[int, ...]) -> Matrix | Undefined:
         hit = self.memo.get(id(node))
         if hit is not None:
-            return hit
+            return hit[1]
         if isinstance(node, Const):
             val = scalar_matrix(self.n, self.field.of(node.value), self.field)
         elif isinstance(node, Var):
@@ -191,7 +193,7 @@ class Evaluator:
                 val = Undefined(node, path) if pair is None else pair[0]
         else:
             raise TypeError(f"not an expression node: {type(node).__name__}")
-        self.memo[id(node)] = val
+        self.memo[id(node)] = (node, val)
         return val
 
 

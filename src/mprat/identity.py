@@ -1,16 +1,29 @@
 """Randomized zero- and equivalence-testing with level escalation.
 
+One driver draws the sample points of every level×trial search: _points
+yields square levels (n, …, n) for n = 1..L with trials 0..T−1 at each
+level, for is_zero, equivalent, domain_scan, the polynomial witness hunt
+and matrix_rational.matrix_invertible.  All sampling is a pure function of
+(seed, dims, trial), so verdicts are reproducible.
+
 Inverse-free expressions are decided exactly through the polynomial normal
 form; when nonzero, a concrete witness point is still hunted down (it exists
 at level ⌊d/2⌋+1 for maximal per-part degree d, since no product of fewer
 than 2n alternating factors vanishes identically on n-by-n matrices, and the
 parts separate into independent tensor slots).
 
-Expressions containing inverses are sampled on square levels (n, …, n) for
-n = 1..max_level.  A nonzero value at a defined point is a proof of
-nonzeroness; exhausting the budget only ever yields "probably zero up to
-this level", never a zero claim.  All sampling is a pure function of
-(seed, dims, trial), so verdicts are reproducible.
+Expressions containing inverses go through _scan, shared by is_zero and
+equivalent.  A nonzero value at a defined point is a proof of nonzeroness;
+exhausting the budget only ever yields "probably zero up to this level",
+never a zero claim.  Undefined trials are skipped; when no trial is defined
+the first Undefined met is reported.
+
+Determinant self-check: by the determinant criterion, a level at which the
+value is singular at every defined trial must have every value zero.  _scan
+checks this at the end of each level that has a nonzero value, computing
+determinants of its nonzero values only until the first nonzero one, and
+raises RuntimeError when all of them vanish.  A level with only zero values
+computes no determinant.
 """
 
 from __future__ import annotations
@@ -91,36 +104,57 @@ def sample_point(alphabet: Alphabet, dims, cfg: TestConfig, trial: int) -> MpPoi
     return _sample(alphabet, dims, cfg.seed, trial, cfg.entry_bound)
 
 
-def _level_consistency(entries) -> None:
-    # Determinant criterion: if det vanished at every defined trial of the
-    # level, the values themselves must all vanish.  A failure here means a
-    # kernel bug or an astronomically unlucky sample of a nonvanishing det.
-    if entries and all(d == 0 for _, _, _, d in entries):
-        for _, _, v, _ in entries:
+def _points(alphabet: Alphabet, cfg: TestConfig, top: int):
+    """Yield (level, trial, point) over square levels 1..top, trials in order."""
+    for level in range(1, top + 1):
+        dims = (level,) * len(alphabet.slots())
+        for trial in range(cfg.trials_per_level):
+            yield level, trial, sample_point(alphabet, dims, cfg, trial)
+
+
+def _scan(value_at, alphabet: Alphabet, cfg: TestConfig) -> ZeroVerdict:
+    # value_at maps a point to a Matrix or an Undefined.  Every trial of a
+    # level is evaluated before the level's verdict, so the determinant
+    # self-check (see the module docstring) sees all of its defined values.
+    first_undef: Undefined | None = None
+    decided = 0
+    nonzero = []
+    for level, trial, a in _points(alphabet, cfg, cfg.max_level):
+        v = value_at(a)
+        if isinstance(v, Undefined):
+            if first_undef is None:
+                first_undef = v
+        else:
+            decided += 1
             if not v.is_zero():
+                nonzero.append((trial, a, v))
+        if nonzero and trial == cfg.trials_per_level - 1:
+            # A zero value has det 0, so only the nonzero ones need a det.
+            # A failure means a kernel bug or an astronomically unlucky
+            # sample of a nonvanishing det.
+            if all(det(v) == 0 for _, _, v in nonzero):
                 raise RuntimeError("determinant criterion violated: singular "
                                    "values at a level where no determinant "
                                    "was nonzero")
-
-
-def _square_dims(alphabet: Alphabet, level: int) -> tuple[int, ...]:
-    return (level,) * len(alphabet.slots())
+            trial, a, v = nonzero[0]
+            return NonzeroWitness(a, v, level, trial)
+    if decided == 0:
+        return NowhereDefined(first_undef.subexpr, first_undef.path)
+    return ProbablyZeroUpTo(cfg.max_level, cfg.trials_per_level, decided)
 
 
 def _hunt_polynomial_witness(e: Expr, alphabet: Alphabet, cfg: TestConfig,
                              guarantee_level: int) -> NonzeroWitness:
     top = max(cfg.max_level, guarantee_level)
-    for level in range(1, top + 1):
-        for trial in range(cfg.trials_per_level):
-            a = sample_point(alphabet, _square_dims(alphabet, level), cfg, trial)
-            v = mp_evaluate(e, a)
-            if not v.is_zero():
-                return NonzeroWitness(a, v, level, trial)
+    for level, trial, a in _points(alphabet, cfg, top):
+        v = mp_evaluate(e, a)
+        if not v.is_zero():
+            return NonzeroWitness(a, v, level, trial)
     # the nonzero locus at the guarantee level is dense; widen the entry
     # range until a sample lands in it
     bound = cfg.entry_bound
     trial = cfg.trials_per_level
-    dims = _square_dims(alphabet, top)
+    dims = (top,) * len(alphabet.slots())
     while True:
         bound *= 2
         for _ in range(cfg.trials_per_level):
@@ -140,62 +174,29 @@ def is_zero(e: Expr, alphabet: Alphabet, cfg: TestConfig | None = None) -> ZeroV
             return ExactZero()
         return _hunt_polynomial_witness(e, alphabet, cfg,
                                         nf.max_slot_degree() // 2 + 1)
-
-    first_undef: Undefined | None = None
-    decided = 0
-    for level in range(1, cfg.max_level + 1):
-        entries = []
-        for trial in range(cfg.trials_per_level):
-            a = sample_point(alphabet, _square_dims(alphabet, level), cfg, trial)
-            v = mp_evaluate(e, a)
-            if isinstance(v, Undefined):
-                if first_undef is None:
-                    first_undef = v
-                continue
-            entries.append((trial, a, v, det(v)))
-        _level_consistency(entries)
-        decided += len(entries)
-        for trial, a, v, _ in entries:
-            if not v.is_zero():
-                return NonzeroWitness(a, v, level, trial)
-    if decided == 0:
-        return NowhereDefined(first_undef.subexpr, first_undef.path)
-    return ProbablyZeroUpTo(cfg.max_level, cfg.trials_per_level, decided)
+    return _scan(lambda a: mp_evaluate(e, a), alphabet, cfg)
 
 
 def equivalent(e1: Expr, e2: Expr, alphabet: Alphabet,
                cfg: TestConfig | None = None) -> ZeroVerdict:
     """Zero-test of e1 − e2 on the intersection of the two mp-domains.
 
-    Trials where either side is undefined are skipped, not counted; with two
+    Trials where either side is undefined are skipped, not counted; when
+    both sides are, e1's Undefined is the one reported.  With two
     inverse-free inputs the decision is exact via normal forms.
     """
     cfg = cfg or TestConfig()
     if inversion_height(e1) == 0 and inversion_height(e2) == 0:
         return is_zero(expr_sum([e1, expr_neg(e2)]), alphabet, cfg)
 
-    first_undef: Undefined | None = None
-    decided = 0
-    for level in range(1, cfg.max_level + 1):
-        entries = []
-        for trial in range(cfg.trials_per_level):
-            a = sample_point(alphabet, _square_dims(alphabet, level), cfg, trial)
-            v1 = mp_evaluate(e1, a)
-            v2 = mp_evaluate(e2, a)
-            if isinstance(v1, Undefined) or isinstance(v2, Undefined):
-                if first_undef is None:
-                    first_undef = v1 if isinstance(v1, Undefined) else v2
-                continue
-            diff = v1 - v2
-            entries.append((trial, a, diff, det(diff)))
-        _level_consistency(entries)
-        decided += len(entries)
-        for trial, a, diff, _ in entries:
-            if not diff.is_zero():
-                return NonzeroWitness(a, diff, level, trial)
-    if decided == 0:
-        return NowhereDefined(first_undef.subexpr, first_undef.path)
-    return ProbablyZeroUpTo(cfg.max_level, cfg.trials_per_level, decided)
+    def difference(a: MpPoint) -> Matrix | Undefined:
+        v1 = mp_evaluate(e1, a)
+        if isinstance(v1, Undefined):
+            return v1
+        v2 = mp_evaluate(e2, a)
+        return v2 if isinstance(v2, Undefined) else v1 - v2
+
+    return _scan(difference, alphabet, cfg)
 
 
 def domain_scan(e: Expr, alphabet: Alphabet, cfg: TestConfig | None = None):
@@ -206,9 +207,7 @@ def domain_scan(e: Expr, alphabet: Alphabet, cfg: TestConfig | None = None):
     with direct-sum copies of itself), so a hit certifies all multiples.
     """
     cfg = cfg or TestConfig()
-    for level in range(1, cfg.max_level + 1):
-        for trial in range(cfg.trials_per_level):
-            a = sample_point(alphabet, _square_dims(alphabet, level), cfg, trial)
-            if not isinstance(mp_evaluate(e, a), Undefined):
-                return level, a
+    for level, _, a in _points(alphabet, cfg, cfg.max_level):
+        if not isinstance(mp_evaluate(e, a), Undefined):
+            return level, a
     return None, None

@@ -354,15 +354,17 @@ def permute_kron_factors(m: Matrix, pi: Sequence[int], dims: Sequence[int]) -> M
 # -- elimination -------------------------------------------------------------
 
 
-def _scaled_int_rows(a: Matrix, b: Matrix | None) -> list[list[int]]:
-    # Row-scale [A | B] to integers.  Row scaling preserves the solution set
-    # of A x = B, so back substitution on the scaled system is exact.
-    out = []
+def _scaled_int_rows(a: Matrix, b: Matrix | None) -> tuple[list[list[int]], list[int]]:
+    # Row-scale [A | B] to integers; also return each row's multiplier.  Row
+    # scaling preserves the solution set of A x = B, so back substitution on
+    # the scaled system is exact.
+    rows, dens = [], []
     for i in range(a.rows):
         row = list(a.data[i]) + (list(b.data[i]) if b is not None else [])
         den = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * den) for x in row])
-    return out
+        rows.append([int(x * den) for x in row])
+        dens.append(den)
+    return rows, dens
 
 
 def _bareiss_forward(rows: list[list[int]], n: int, width: int) -> int | None:
@@ -443,16 +445,11 @@ def det(a: Matrix):
     if isinstance(a.field, PrimeField):
         res = _gfp_solve(a, Matrix.zeros(n, 0, a.field), want_det=True)
         return res[1] if res[0] is not None else 0
-    rows = _scaled_int_rows(a, None)
-    scale = prod(r_orig_den(a, i) for i in range(n))
+    rows, dens = _scaled_int_rows(a, None)
     sign = _bareiss_forward(rows, n, n)
     if sign is None:
         return _F0
-    return Fraction(sign * rows[n - 1][n - 1], scale)
-
-
-def r_orig_den(a: Matrix, i: int) -> int:
-    return lcm(*(x.denominator for x in a.data[i])) if a.cols else 1
+    return Fraction(sign * rows[n - 1][n - 1], prod(dens))
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix | None:
@@ -468,7 +465,7 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
         return Matrix.zeros(0, b.cols, a.field)
     if isinstance(a.field, PrimeField):
         return _gfp_solve(a, b, want_det=False)[0]
-    rows = _scaled_int_rows(a, b)
+    rows, _ = _scaled_int_rows(a, b)
     if _bareiss_forward(rows, n, n + b.cols) is None:
         return None
     return Matrix(a.field, _back_substitute(rows, n, b.cols), b.cols)
@@ -486,18 +483,14 @@ def inv_det(a: Matrix):
         return None if inv is None else (inv, d)
     # One elimination pass over [A | I]: back substitution gives the inverse,
     # the pivot chain gives the determinant of the row-scaled copy.
-    scale = 1
-    rows = []
-    for i in range(n):
-        den = lcm(*(x.denominator for x in a.data[i])) if a.cols else 1
-        scale *= den
-        rows.append([int(x * den) for x in a.data[i]]
-                    + [den if j == i else 0 for j in range(n)])
+    rows, dens = _scaled_int_rows(a, None)
+    for i, den in enumerate(dens):
+        rows[i].extend(den if j == i else 0 for j in range(n))
     sign = _bareiss_forward(rows, n, 2 * n)
     if sign is None:
         return None
     # rows hold D @ A with D the diagonal of row multipliers; the identity
     # block was pre-multiplied by D as well, so solutions are A^{-1} exactly.
     inv = Matrix(a.field, _back_substitute(rows, n, n), n)
-    d = Fraction(sign * rows[n - 1][n - 1], scale)
+    d = Fraction(sign * rows[n - 1][n - 1], prod(dens))
     return inv, d

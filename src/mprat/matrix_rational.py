@@ -34,7 +34,7 @@ from .expression import (
     inverse_of,
     validate_vars,
 )
-from .identity import NonzeroWitness, TestConfig, is_zero, sample_point
+from .identity import NonzeroWitness, TestConfig, _points, is_zero
 from .matrix_kernel import Matrix, det
 
 
@@ -127,16 +127,10 @@ def matrix_invertible(
 ) -> InvertibleWitness | ProbablyNotInvertible:
     """Sample for a point where the blockwise evaluation has nonzero det."""
     cfg = cfg or TestConfig()
-    slots = len(m.alphabet.slots())
-    for level in range(1, cfg.max_level + 1):
-        dims = (level,) * slots
-        for trial in range(cfg.trials_per_level):
-            a = sample_point(m.alphabet, dims, cfg, trial)
-            val = matrix_mp_evaluate(m, a)
-            if isinstance(val, Undefined):
-                continue
-            if det(val) != 0:
-                return InvertibleWitness(a)
+    for _, _, a in _points(m.alphabet, cfg, cfg.max_level):
+        val = matrix_mp_evaluate(m, a)
+        if not isinstance(val, Undefined) and det(val) != 0:
+            return InvertibleWitness(a)
     return ProbablyNotInvertible(cfg.max_level, cfg.trials_per_level)
 
 

@@ -223,7 +223,7 @@ def realize(e: Expr, alphabet: Alphabet, p: Sequence[Matrix]) -> Realization:
                 out = _prod_real(out, rec(f))
         else:
             assert isinstance(node, Inverse)
-            arg_value = ev.memo[id(node.arg)]
+            arg_value = ev.memo[id(node.arg)][1]
             assert isinstance(arg_value, Matrix)
             out = _inverse_real(rec(node.arg), arg_value)
         memo[key] = out

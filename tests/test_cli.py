@@ -100,17 +100,6 @@ def test_byte_determinism(tmp_path, capsys):
     assert out1 == out2
 
 
-def test_env_seed_override(tmp_path, capsys, monkeypatch):
-    expr = w(tmp_path, "c.expr", "X1_1 * X1_2 - X1_2 * X1_1")
-    monkeypatch.setenv("MPRAT_SEED", "99")
-    _, with_env, _ = run(capsys, "check-zero", "--alphabet", "1:2",
-                         "--expr", expr, "--seed", "0")
-    monkeypatch.delenv("MPRAT_SEED")
-    _, direct, _ = run(capsys, "check-zero", "--alphabet", "1:2",
-                       "--expr", expr, "--seed", "99")
-    assert with_env == direct
-
-
 def test_delta_output(tmp_path, capsys):
     expr = w(tmp_path, "e.expr", "X1_1 * X1_1")
     code, rep = jrun(capsys, "delta", "--alphabet", "1:1",
@@ -239,6 +228,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["eval", "--alphabet", "1:1", "--expr", "missing.expr",
                  "--point", bad]) == 2
     capsys.readouterr()
+
+
+def test_internal_error_exit_4(tmp_path, capsys):
+    # exit 1 means "nonzero witness"; a crash must not be mistaken for it
+    expr = w(tmp_path, "deep.expr", "inv(" * 5000 + "X1_1" + ")" * 5000)
+    code, out, err = run(capsys, "check-zero", "--alphabet", "1:1", "--expr", expr)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_help_exits_zero(capsys):

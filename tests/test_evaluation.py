@@ -125,6 +125,16 @@ def test_evaluator_shares_memo_across_expressions():
     assert len(ev.memo) >= 4
 
 
+def test_evaluator_reuse_across_temporary_expressions():
+    # each parsed expression is dropped after its run, so a memo keyed by
+    # id() alone would hand a recycled id the previous expression's value
+    ab = Alphabet((1,))
+    ev = Evaluator(NcPoint(ab, (Matrix.from_flat(QQ, 1, 1, [2]),)))
+    wrong = [k for k in range(200)
+             if ev.run(parse(f"X1_1 + {k}", ab)).entry(0, 0) != 2 + k]
+    assert wrong == []
+
+
 def test_nc_evaluate_against_reference():
     rng = random.Random("nc-ref")
     for _ in range(25):

@@ -206,3 +206,35 @@ def test_verdicts_deterministic():
     v1 = is_zero(e, AB1, TestConfig(seed=3))
     v2 = is_zero(e, AB1, TestConfig(seed=3))
     assert v1 == v2
+
+
+NOWHERE = "inv(X1_1 * X2_1 - X2_1 * X1_1)"
+
+
+@pytest.mark.parametrize("undefined_side", ["lhs", "rhs"])
+def test_equivalent_reports_the_undefined_side(undefined_side):
+    bad = parse(f"X1_1 + {NOWHERE}", AB11)
+    good = parse("inv(X1_1 + 3)", AB11)
+    lhs, rhs = (bad, good) if undefined_side == "lhs" else (good, bad)
+    v = equivalent(lhs, rhs, AB11, TestConfig(max_level=2, trials_per_level=2))
+    assert isinstance(v, NowhereDefined)
+    assert v.path == (1,)
+    assert v.subexpr is bad.terms[1]
+
+
+def test_determinant_self_check_raises_on_singular_nonzero_values(monkeypatch):
+    monkeypatch.setattr("mprat.identity.det", lambda m: Fraction(0))
+    e = parse("inv(X1_1) * X1_2 - X1_2 * inv(X1_1)", AB1)
+    with pytest.raises(RuntimeError, match="determinant criterion"):
+        is_zero(e, AB1, TestConfig(max_level=2))
+
+
+def test_true_identity_computes_no_determinant(monkeypatch):
+    calls = []
+    monkeypatch.setattr("mprat.identity.det", calls.append)
+    e = parse("inv(X1_1) * inv(X2_1) - inv(X2_1) * inv(X1_1)", AB11)
+    assert isinstance(is_zero(e, AB11, TestConfig(max_level=2)), ProbablyZeroUpTo)
+    lhs = parse("inv(X1_1 * X2_1)", AB11)
+    rhs = parse("inv(X2_1) * inv(X1_1)", AB11)
+    assert isinstance(equivalent(lhs, rhs, AB11, TestConfig(max_level=2)), ProbablyZeroUpTo)
+    assert calls == []
