@@ -34,40 +34,31 @@ from .expression import (
     expr_neg,
     expr_product,
     expr_sum,
+    fold,
     inverse_of,
     validate_vars,
 )
 from .matrix_kernel import Matrix, kron, scalar_matrix
 
 
+def _primed(node: Expr, kids: list[Expr], part: int) -> Expr:
+    # node rebuilt over the primed copies of its children
+    if isinstance(node, Var) and node.part == part:
+        if node.primed:
+            raise ValueError(f"letter X{node.part}_{node.index}' is already primed")
+        return Var(node.part, node.index, primed=True)
+    if isinstance(node, Sum):
+        return Sum(tuple(kids))
+    if isinstance(node, Product):
+        return Product(tuple(kids))
+    if isinstance(node, Inverse):
+        return Inverse(kids[0])
+    return node
+
+
 def prime_part(e: Expr, part: int) -> Expr:
     """Rename every unprimed letter of the given part to its primed copy."""
-    memo: dict[int, Expr] = {}
-
-    def rec(node: Expr) -> Expr:
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        if isinstance(node, Const):
-            out: Expr = node
-        elif isinstance(node, Var):
-            if node.part == part and node.primed:
-                raise ValueError(f"letter X{node.part}_{node.index}' is already primed")
-            if node.part == part:
-                out = Var(node.part, node.index, primed=True)
-            else:
-                out = node
-        elif isinstance(node, Sum):
-            out = Sum(tuple(rec(t) for t in node.terms))
-        elif isinstance(node, Product):
-            out = Product(tuple(rec(f) for f in node.factors))
-        else:
-            assert isinstance(node, Inverse)
-            out = Inverse(rec(node.arg))
-        memo[key] = out
-        return out
-
-    return rec(e)
+    return fold(e, lambda node, kids: _primed(node, kids, part))
 
 
 def delta(part: int, index: int, e: Expr, alphabet: Alphabet) -> Expr:
@@ -84,40 +75,30 @@ def delta(part: int, index: int, e: Expr, alphabet: Alphabet) -> Expr:
         raise ValueError(f"index {index} out of range for part {part}")
     validate_vars(e, alphabet)
 
-    memo: dict[int, Expr] = {}
-
-    def rec(node: Expr) -> Expr:
-        key = id(node)
-        if key in memo:
-            return memo[key]
+    def rule(node: Expr, kids: list[tuple[Expr, Expr]]) -> tuple[Expr, Expr]:
+        # (primed copy of node, delta of node)
+        primes = [p for p, _ in kids]
+        diffs = [d for _, d in kids]
         if isinstance(node, Const):
-            out: Expr = Const(Fraction(0))
+            diff: Expr = Const(Fraction(0))
         elif isinstance(node, Var):
             hit = node.part == part and node.index == index
-            out = Const(Fraction(1 if hit else 0))
+            diff = Const(Fraction(1 if hit else 0))
         elif isinstance(node, Sum):
-            out = expr_sum(rec(t) for t in node.terms)
+            diff = expr_sum(diffs)
         elif isinstance(node, Product):
             fs = node.factors
-            terms = []
-            for m in range(len(fs), 0, -1):
-                primed = [prime_part(f, part) for f in fs[: m - 1]]
-                terms.append(
-                    expr_product([*primed, rec(fs[m - 1]), *fs[m:]], absorb_zero=True)
-                )
-            out = expr_sum(terms)
+            diff = expr_sum(
+                expr_product([*primes[: m - 1], diffs[m - 1], *fs[m:]], absorb_zero=True)
+                for m in range(len(fs), 0, -1)
+            )
         else:
             assert isinstance(node, Inverse)
-            out = expr_neg(
-                expr_product(
-                    [inverse_of(prime_part(node.arg, part)), rec(node.arg), inverse_of(node.arg)],
-                    absorb_zero=True,
-                )
-            )
-        memo[key] = out
-        return out
+            diff = expr_neg(expr_product(
+                [inverse_of(primes[0]), diffs[0], inverse_of(node.arg)], absorb_zero=True))
+        return _primed(node, primes, part), diff
 
-    return rec(e)
+    return fold(e, rule)[1]
 
 
 def directional_delta(part: int, v: Sequence, e: Expr, alphabet: Alphabet) -> Expr:

@@ -7,8 +7,8 @@ byte-identical output.
 
 Exit codes: 0 success or zero verdict, 1 nonzero witness or not invertible,
 2 usage or parse error, 3 undefined at the given point, 4 internal error
-(any other exception, such as a RecursionError on very deep nesting; one
-"error: ..." line goes to stderr and nothing to stdout).
+(any other exception; one "error: ..." line goes to stderr and nothing to
+stdout).
 """
 
 import argparse
@@ -111,6 +111,8 @@ def _point_doc(doc, path: str):
         raise CliError(f"{path}: 'dims' and 'parts' must be lists")
     if len(dims) != len(parts):
         raise CliError(f"{path}: {len(dims)} dims but {len(parts)} parts")
+    if not all(type(n) is int and n >= 1 for n in dims):
+        raise CliError(f"{path}: 'dims' entries must be positive integers")
     return dims, parts
 
 
@@ -257,7 +259,7 @@ def cmd_bf_eval(ns) -> tuple[dict, int]:
     if not isinstance(doc, dict) or "n" not in doc:
         raise CliError(f"{ns.point}: bf point files need an 'n' key")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise CliError(f"{ns.point}: 'n' must be a positive integer")
     fams = {}
     for key in ("a_outer", "a_inner", "b_inner", "b_outer"):

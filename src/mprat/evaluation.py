@@ -21,8 +21,21 @@ subtrees are evaluated once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, matmul
 
-from .expression import Alphabet, Const, Expr, Inverse, Product, Sum, Var, validate_vars
+from .expression import (
+    Alphabet,
+    Const,
+    Expr,
+    Inverse,
+    Product,
+    Sum,
+    Var,
+    _path_to,
+    validate_vars,
+    walk,
+)
 from .matrix_kernel import Matrix, inv_det, scalar_matrix, tau_embed
 
 
@@ -144,8 +157,8 @@ class Evaluator:
     Reusable across expressions over the same point (matrix_rational
     evaluates whole expression matrices through one instance).  The memo
     maps id(node) to (node, value); holding the node keeps its id from
-    being reused by a later expression.  A cached Undefined keeps the path
-    where it was first discovered.
+    being reused by a later expression.  An inverse of a singular value is
+    memoized with the value None.
     """
 
     def __init__(self, point: NcPoint):
@@ -154,47 +167,36 @@ class Evaluator:
         self.field = point.field
         self.lookup = {(v.part, v.index, v.primed): m
                        for v, m in zip(point.alphabet.letters(), point.mats)}
-        self.memo: dict[int, tuple[Expr, Matrix | Undefined]] = {}
+        self.memo: dict[int, tuple[Expr, Matrix | None]] = {}
 
     def run(self, e: Expr) -> Matrix | Undefined:
+        """Value of e, or the Undefined of the first singular inverse in walk
+        order, which is the first one a left-to-right evaluation meets."""
         validate_vars(e, self.point.alphabet)
-        return self._rec(e, ())
+        memo = self.memo
+        for node in walk(e):
+            hit = memo.get(id(node))
+            if hit is None:
+                hit = memo[id(node)] = (node, self._value(node))
+            if hit[1] is None:
+                return Undefined(node, _path_to(e, node))
+        return memo[id(e)][1]
 
-    def _rec(self, node: Expr, path: tuple[int, ...]) -> Matrix | Undefined:
-        hit = self.memo.get(id(node))
-        if hit is not None:
-            return hit[1]
+    def _value(self, node: Expr) -> Matrix | None:
+        # from the memoized values of the node's children
+        memo = self.memo
         if isinstance(node, Const):
-            val = scalar_matrix(self.n, self.field.of(node.value), self.field)
-        elif isinstance(node, Var):
-            val = self.lookup[(node.part, node.index, node.primed)]
-        elif isinstance(node, Sum):
-            val = None
-            for k, t in enumerate(node.terms):
-                res = self._rec(t, path + (k,))
-                if isinstance(res, Undefined):
-                    val = res
-                    break
-                val = res if val is None else val + res
-        elif isinstance(node, Product):
-            val = None
-            for k, f in enumerate(node.factors):
-                res = self._rec(f, path + (k,))
-                if isinstance(res, Undefined):
-                    val = res
-                    break
-                val = res if val is None else val @ res
-        elif isinstance(node, Inverse):
-            res = self._rec(node.arg, path + (0,))
-            if isinstance(res, Undefined):
-                val = res
-            else:
-                pair = inv_det(res)
-                val = Undefined(node, path) if pair is None else pair[0]
-        else:
-            raise TypeError(f"not an expression node: {type(node).__name__}")
-        self.memo[id(node)] = (node, val)
-        return val
+            return scalar_matrix(self.n, self.field.of(node.value), self.field)
+        if isinstance(node, Var):
+            return self.lookup[(node.part, node.index, node.primed)]
+        if isinstance(node, Sum):
+            return reduce(add, [memo[id(t)][1] for t in node.terms])
+        if isinstance(node, Product):
+            return reduce(matmul, [memo[id(f)][1] for f in node.factors])
+        if isinstance(node, Inverse):
+            pair = inv_det(memo[id(node.arg)][1])
+            return None if pair is None else pair[0]
+        raise TypeError(f"not an expression node: {type(node).__name__}")
 
 
 def nc_evaluate(e: Expr, point: NcPoint) -> Matrix | Undefined:

@@ -20,6 +20,11 @@ rewriting ever applied is constant folding of literal arithmetic (adjacent
 constant runs, unit coefficients, inverses of nonzero constants); no
 cancellation, no reordering of noncommuting factors, and a written
 ``0 * inv(X1_1)`` keeps its inverse node so the written domain survives.
+
+Builders may share one subtree among several parents, so an expression is a
+DAG.  Every transform traverses it through ``walk``, directly or through
+``fold``: children left to right and before their parents, each shared node
+once, on an explicit stack, so nesting depth is bounded only by memory.
 """
 
 from __future__ import annotations
@@ -27,10 +32,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from functools import reduce
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+T = TypeVar("T")
 
 
 # -- alphabet -----------------------------------------------------------------
@@ -183,55 +191,83 @@ def inverse_of(e: Expr) -> Expr:
     return Inverse(e)
 
 
+def _children(node: Expr) -> tuple[Expr, ...]:
+    if isinstance(node, Sum):
+        return node.terms
+    if isinstance(node, Product):
+        return node.factors
+    if isinstance(node, Inverse):
+        return (node.arg,)
+    return ()
+
+
 def subexpr_at(e: Expr, path: Sequence[int]) -> Expr:
     """Child lookup along a path of 0-based child positions."""
     node = e
     for k in path:
-        if isinstance(node, Sum):
-            node = node.terms[k]
-        elif isinstance(node, Product):
-            node = node.factors[k]
-        elif isinstance(node, Inverse):
-            node = node.arg
-        else:
-            raise ValueError("path leads through a leaf")
+        kids = _children(node)
+        if not 0 <= k < len(kids):
+            raise ValueError(f"no child at position {k}: the node has {len(kids)}")
+        node = kids[k]
     return node
 
 
-def walk(e: Expr) -> Iterator[Expr]:
-    """Every node once, children before parents, shared subtrees deduplicated."""
+def _path_to(root: Expr, target: Expr) -> tuple[int, ...]:
+    # Depth-first, children left to right, each shared node expanded once:
+    # the first path found is the leftmost one.  A path is kept as linked
+    # (position, parent link) pairs so that each push costs O(1).
     seen: set[int] = set()
-    stack = [(e, False)]
+    stack: list[tuple[Expr, tuple | None]] = [(root, None)]
     while stack:
-        node, expanded = stack.pop()
-        if id(node) in seen:
-            continue
-        if expanded:
+        node, link = stack.pop()
+        if node is target:
+            path = []
+            while link is not None:
+                k, link = link
+                path.append(k)
+            return tuple(reversed(path))
+        if id(node) not in seen:
             seen.add(id(node))
-            yield node
+            kids = _children(node)
+            stack.extend((kids[k], (k, link)) for k in range(len(kids) - 1, -1, -1))
+    raise ValueError("target is not a node of root")
+
+
+_EMIT = object()
+
+
+def walk(e: Expr) -> Iterator[Expr]:
+    """Every node of e once, children left to right and before their parents;
+    a shared subtree at its first occurrence.  Uses no recursion."""
+    seen: set[int] = set()
+    stack: list = [e]
+    while stack:
+        node = stack.pop()
+        if node is _EMIT:
+            node = stack.pop()
+        elif id(node) in seen:
             continue
-        stack.append((node, True))
-        if isinstance(node, Sum):
-            stack.extend((t, False) for t in node.terms)
-        elif isinstance(node, Product):
-            stack.extend((f, False) for f in node.factors)
-        elif isinstance(node, Inverse):
-            stack.append((node.arg, False))
+        elif kids := _children(node):
+            # node comes back, after its children, behind the marker
+            stack += (node, _EMIT)
+            stack += reversed(kids)
+            continue
+        seen.add(id(node))
+        yield node
+
+
+def fold(e: Expr, rule: Callable[[Expr, list], T]) -> T:
+    """Bottom-up value of e: rule(node, values of its children) over walk(e)."""
+    values: dict[int, T] = {}
+    for node in walk(e):
+        values[id(node)] = rule(node, [values[id(c)] for c in _children(node)])
+    return values[id(e)]
 
 
 def inversion_height(e: Expr) -> int:
     """Nesting depth of inverses (0 for polynomial expressions)."""
-    heights: dict[int, int] = {}
-    for node in walk(e):
-        if isinstance(node, (Const, Var)):
-            heights[id(node)] = 0
-        elif isinstance(node, Sum):
-            heights[id(node)] = max(heights[id(t)] for t in node.terms)
-        elif isinstance(node, Product):
-            heights[id(node)] = max(heights[id(f)] for f in node.factors)
-        elif isinstance(node, Inverse):
-            heights[id(node)] = 1 + heights[id(node.arg)]
-    return heights[id(e)]
+    return fold(e, lambda node, heights: heights[0] + 1 if isinstance(node, Inverse)
+                else max(heights, default=0))
 
 
 def validate_vars(e: Expr, alphabet: Alphabet) -> None:
@@ -288,153 +324,169 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], alphabet: Alphabet):
-        self.tokens = tokens
-        self.alphabet = alphabet
-        self.k = 0
+def _got(kind: str, val: str) -> str:
+    return repr(val) if kind != "eof" else "end of input"
 
-    def peek(self):
-        return self.tokens[self.k]
 
-    def advance(self):
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
-
-    def expect(self, text: str):
-        kind, val, pos = self.peek()
-        if val != text:
-            got = repr(val) if kind != "eof" else "end of input"
-            raise ExprSyntaxError(f"expected {text!r}, got {got}", pos)
-        return self.advance()
-
-    def parse_expr(self) -> Expr:
-        terms = [self.parse_term()]
-        while self.peek()[1] in ("+", "-"):
-            op = self.advance()[1]
-            rhs = self.parse_term()
-            terms.append(expr_neg(rhs) if op == "-" else rhs)
-        return expr_sum(terms)
-
-    def parse_term(self) -> Expr:
-        factors = [self.parse_factor()]
-        while self.peek()[1] == "*":
-            self.advance()
-            factors.append(self.parse_factor())
-        return expr_product(factors)
-
-    def parse_factor(self) -> Expr:
-        kind, val, pos = self.peek()
-        if val == "-":
-            self.advance()
-            return expr_neg(self.parse_factor())
-        if kind == "int":
-            return Const(self._rational())
-        if kind == "var":
-            return self._variable()
-        if kind == "inv":
-            self.advance()
-            self.expect("(")
-            inner = self.parse_expr()
-            self.expect(")")
-            return inverse_of(inner)
-        if val == "(":
-            self.advance()
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
-        got = repr(val) if kind != "eof" else "end of input"
-        raise ExprSyntaxError(f"expected a factor, got {got}", pos)
-
-    def _rational(self) -> Fraction:
-        _, digits, _ = self.advance()
-        num = int(digits)
-        if self.peek()[1] == "/":
-            self.advance()
-            kind, dval, dpos = self.peek()
-            if kind != "int" or int(dval) == 0:
-                raise ExprSyntaxError("expected a positive integer denominator", dpos)
-            self.advance()
-            return Fraction(num, int(dval))
-        return Fraction(num)
-
-    def _variable(self) -> Expr:
-        _, text, pos = self.advance()
-        m = _TOKEN_RE.match(text)
-        part = int(m.group("part"))
-        index = int(m.group("index"))
-        primed = m.group("prime") is not None
-        a = self.alphabet
-        if not 1 <= part <= a.parts:
-            raise ExprSyntaxError(f"unknown variable {text}: alphabet has {a.parts} parts", pos)
-        if not 1 <= index <= a.size_of(part):
-            raise ExprSyntaxError(f"index out of range: part {part} has "
-                                  f"{a.size_of(part)} letters", pos)
-        if primed and part not in a.primed_parts:
-            raise ExprSyntaxError(f"part {part} has no primed letters in this alphabet", pos)
-        return Var(part, index, primed)
+def _variable(text: str, pos: int, a: Alphabet) -> Var:
+    m = _TOKEN_RE.match(text)
+    part = int(m.group("part"))
+    index = int(m.group("index"))
+    primed = m.group("prime") is not None
+    if not 1 <= part <= a.parts:
+        raise ExprSyntaxError(f"unknown variable {text}: alphabet has {a.parts} parts", pos)
+    if not 1 <= index <= a.size_of(part):
+        raise ExprSyntaxError(f"index out of range: part {part} has "
+                              f"{a.size_of(part)} letters", pos)
+    if primed and part not in a.primed_parts:
+        raise ExprSyntaxError(f"part {part} has no primed letters in this alphabet", pos)
+    return Var(part, index, primed)
 
 
 def parse(text: str, alphabet: Alphabet) -> Expr:
-    """Parse the grammar above; raises ExprSyntaxError with a column."""
-    parser = _Parser(_tokenize(text), alphabet)
-    e = parser.parse_expr()
-    kind, val, pos = parser.peek()
-    if kind != "eof":
-        raise ExprSyntaxError(f"unexpected trailing {val!r}", pos)
-    return e
+    """Parse the grammar above; raises ExprSyntaxError with a column.
+
+    Each open parenthesis saves the state of the enclosing expr on an
+    explicit stack, so nesting depth is bounded only by memory.
+    """
+    tokens = _tokenize(text)
+    k = 0
+    # the enclosing groups, then the current one: its finished terms, whether
+    # the current term follows a binary minus, that term's finished factors
+    # and the unary minuses before the factor being read
+    groups: list[tuple[bool, list[Expr], bool, list[Expr], int]] = []
+    terms: list[Expr] = []
+    minus = False
+    factors: list[Expr] = []
+    negs = 0
+    while True:
+        kind, val, pos = tokens[k]
+        if val == "-":
+            negs += 1
+            k += 1
+            continue
+        if kind == "int":
+            factor = Const(Fraction(int(val)))
+            k += 1
+            if tokens[k][1] == "/":
+                kind, val, pos = tokens[k + 1]
+                if kind != "int" or int(val) == 0:
+                    raise ExprSyntaxError("expected a positive integer denominator", pos)
+                factor = Const(factor.value / int(val))
+                k += 2
+        elif kind == "var":
+            factor = _variable(val, pos, alphabet)
+            k += 1
+        elif kind == "inv" or val == "(":
+            is_inv = kind == "inv"
+            if is_inv:
+                k += 1
+                kind, val, pos = tokens[k]
+                if val != "(":
+                    raise ExprSyntaxError(f"expected '(', got {_got(kind, val)}", pos)
+            groups.append((is_inv, terms, minus, factors, negs))
+            terms, minus, factors, negs = [], False, [], 0
+            k += 1
+            continue
+        else:
+            raise ExprSyntaxError(f"expected a factor, got {_got(kind, val)}", pos)
+        # a factor is complete; it may in turn complete terms and groups
+        while True:
+            for _ in range(negs):
+                factor = expr_neg(factor)
+            factors.append(factor)
+            negs = 0
+            kind, val, pos = tokens[k]
+            if val == "*":
+                k += 1
+                break
+            term = expr_product(factors)
+            terms.append(expr_neg(term) if minus else term)
+            factors = []
+            if val in ("+", "-"):
+                minus = val == "-"
+                k += 1
+                break
+            inner = expr_sum(terms)
+            if not groups:
+                if kind != "eof":
+                    raise ExprSyntaxError(f"unexpected trailing {val!r}", pos)
+                return inner
+            if val != ")":
+                raise ExprSyntaxError(f"expected ')', got {_got(kind, val)}", pos)
+            k += 1
+            is_inv, terms, minus, factors, negs = groups.pop()
+            factor = inverse_of(inner) if is_inv else inner
 
 
 # -- formatting -------------------------------------------------------------------
 
 
-def _split_negative(e: Expr) -> tuple[bool, Expr] | None:
-    # recognize terms that print better after a binary minus
+def _split_negative(e: Expr) -> Expr | None:
+    # the negation of a term that prints better after a binary minus
     if isinstance(e, Const) and e.value < 0:
-        return True, Const(-e.value)
+        return Const(-e.value)
     if isinstance(e, Product) and isinstance(e.factors[0], Const) and e.factors[0].value < 0:
-        flipped = Const(-e.factors[0].value)
         rest = e.factors[1:]
-        if flipped.value == 1:
-            return True, rest[0] if len(rest) == 1 else Product(rest)
-        return True, Product((flipped,) + rest)
+        if e.factors[0].value == -1:
+            return rest[0] if len(rest) == 1 else Product(rest)
+        return Product((Const(-e.factors[0].value),) + rest)
     return None
 
 
 def format_expr(e: Expr) -> str:
-    """Render to the surface grammar; parse(format_expr(e)) == e on builder output."""
-    if isinstance(e, Const):
-        return str(e.value)
-    if isinstance(e, Var):
-        return f"X{e.part}_{e.index}" + ("'" if e.primed else "")
-    if isinstance(e, Inverse):
-        return f"inv({format_expr(e.arg)})"
-    if isinstance(e, Product):
-        neg = _split_negative(e)
-        if neg is not None:
-            return "-" + _format_factor(neg[1])
-        return " * ".join(_format_factor(f) for f in e.factors)
-    if isinstance(e, Sum):
-        pieces = [_format_term(e.terms[0])]
-        for t in e.terms[1:]:
-            neg = _split_negative(t)
+    """Render to the surface grammar; parse(format_expr(e)) == e on builder output.
+
+    Works from an explicit stack of pending nodes and literal pieces.  Every
+    few thousand pieces are joined into a chunk, so that they never take
+    more memory than the text they spell.
+    """
+    chunks: list[str] = []
+    out: list[str] = []
+    write = out.append
+    todo: list[Expr | str] = [e]
+    while todo:
+        if len(out) > 4096:
+            chunks.append("".join(out))
+            out.clear()
+        item = todo.pop()
+        if isinstance(item, str):
+            write(item)
+        elif isinstance(item, Const):
+            write(str(item.value))
+        elif isinstance(item, Var):
+            write(f"X{item.part}_{item.index}" + ("'" if item.primed else ""))
+        elif isinstance(item, Inverse):
+            write("inv(")
+            todo += (")", item.arg)
+        elif isinstance(item, Product):
+            neg = _split_negative(item)
             if neg is not None:
-                pieces.append(" - " + _format_term(neg[1]))
+                write("-")
+                _push_operand(todo, neg)
             else:
-                pieces.append(" + " + _format_term(t))
-        return "".join(pieces)
-    raise TypeError(f"not an expression node: {type(e).__name__}")
+                for f in item.factors[:0:-1]:
+                    _push_operand(todo, f)
+                    todo.append(" * ")
+                _push_operand(todo, item.factors[0])
+        elif isinstance(item, Sum):
+            for t in item.terms[:0:-1]:
+                neg = _split_negative(t)
+                _push_operand(todo, t if neg is None else neg)
+                todo.append(" + " if neg is None else " - ")
+            _push_operand(todo, item.terms[0])
+        else:
+            raise TypeError(f"not an expression node: {type(item).__name__}")
+    chunks.append("".join(out))
+    return "".join(chunks)
 
 
-def _format_term(e: Expr) -> str:
-    return f"({format_expr(e)})" if isinstance(e, Sum) else format_expr(e)
-
-
-def _format_factor(e: Expr) -> str:
+def _push_operand(todo: list, e: Expr) -> None:
+    # a sum printed as a term or a factor gets parentheses
     if isinstance(e, Sum):
-        return f"({format_expr(e)})"
-    return format_expr(e)
+        todo += (")", e, "(")
+    else:
+        todo.append(e)
 
 
 # -- polynomial normal form ---------------------------------------------------------
@@ -513,36 +565,27 @@ def poly_normal_form(e: Expr, alphabet: Alphabet) -> PolyNormalForm:
     slots = alphabet.slots()
     ns = len(slots)
     one: Monomial = tuple(() for _ in range(ns))
-    memo: dict[int, dict] = {}
 
-    def rec(node: Expr) -> dict:
-        hit = memo.get(id(node))
-        if hit is not None:
-            return hit
+    def rule(node: Expr, kids: list[dict]) -> dict:
         if isinstance(node, Const):
-            out = {one: node.value} if node.value else {}
-        elif isinstance(node, Var):
+            return {one: node.value} if node.value else {}
+        if isinstance(node, Var):
             s = slots.index((node.part, node.primed))
-            mono = tuple((node.index,) if k == s else () for k in range(ns))
-            out = {mono: _F1}
-        elif isinstance(node, Sum):
-            out = {}
-            for t in node.terms:
-                for m, c in rec(t).items():
+            return {tuple((node.index,) if k == s else () for k in range(ns)): _F1}
+        if isinstance(node, Sum):
+            out: dict[Monomial, Fraction] = {}
+            for kid in kids:
+                for m, c in kid.items():
                     acc = out.get(m, _F0) + c
                     if acc:
                         out[m] = acc
                     elif m in out:
                         del out[m]
-        elif isinstance(node, Product):
-            out = rec(node.factors[0])
-            for f in node.factors[1:]:
-                out = _nf_mul(out, rec(f), ns)
-        elif isinstance(node, Inverse):
+            return out
+        if isinstance(node, Product):
+            return reduce(lambda a, b: _nf_mul(a, b, ns), kids)
+        if isinstance(node, Inverse):
             raise ExprHasInverse("expression contains an inverse; no polynomial normal form")
-        else:
-            raise TypeError(f"not an expression node: {type(node).__name__}")
-        memo[id(node)] = out
-        return out
+        raise TypeError(f"not an expression node: {type(node).__name__}")
 
-    return PolyNormalForm(ns, rec(e))
+    return PolyNormalForm(ns, fold(e, rule))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from .evaluation import Evaluator, MpPoint, Undefined, tau_point
@@ -31,6 +32,7 @@ from .expression import (
     expr_neg,
     expr_product,
     expr_sum,
+    fold,
     inverse_of,
     validate_vars,
 )
@@ -263,50 +265,32 @@ def partial_evaluate(
     def diag(x: Expr) -> list[list[Expr]]:
         return [[x if i == j else zero for j in range(d)] for i in range(d)]
 
-    memo: dict[int, list[list[Expr]]] = {}
+    def mul(x: list[list[Expr]], y: list[list[Expr]]) -> list[list[Expr]]:
+        return [[expr_sum([expr_product([x[i][u], y[u][j]], absorb_zero=True)
+                           for u in range(d)])
+                 for j in range(d)]
+                for i in range(d)]
 
-    def rec(node: Expr) -> list[list[Expr]]:
-        key = id(node)
-        if key in memo:
-            return memo[key]
+    def rule(node: Expr, kids: list[list[list[Expr]]]) -> list[list[Expr]]:
         if isinstance(node, Const):
-            out = diag(node)
-        elif isinstance(node, Var):
+            return diag(node)
+        if isinstance(node, Var):
             if node.part == 1:
                 mat = a1[node.index - 1]
-                out = [[Const(mat.entry(i, j)) for j in range(d)] for i in range(d)]
-            else:
-                out = diag(Var(node.part - 1, node.index))
-        elif isinstance(node, Sum):
-            parts = [rec(t) for t in node.terms]
-            out = [
-                [expr_sum([p[i][j] for p in parts]) for j in range(d)]
+                return [[Const(mat.entry(i, j)) for j in range(d)] for i in range(d)]
+            return diag(Var(node.part - 1, node.index))
+        if isinstance(node, Sum):
+            return [
+                [expr_sum([p[i][j] for p in kids]) for j in range(d)]
                 for i in range(d)
             ]
-        elif isinstance(node, Product):
-            out = rec(node.factors[0])
-            for f in node.factors[1:]:
-                right = rec(f)
-                out = [
-                    [
-                        expr_sum([
-                            expr_product([out[i][u], right[u][j]], absorb_zero=True)
-                            for u in range(d)
-                        ])
-                        for j in range(d)
-                    ]
-                    for i in range(d)
-                ]
-        else:
-            assert isinstance(node, Inverse)
-            inner = ExprMatrix(rest, tuple(tuple(row) for row in rec(node.arg)))
-            try:
-                out = [list(row) for row in matrix_inverse_expr(inner, cfg).matrix.entries]
-            except NotInvertible as exc:
-                raise PartialUndefined(
-                    "inverse of a non-invertible partial value"
-                ) from exc
-        memo[key] = out
-        return out
+        if isinstance(node, Product):
+            return reduce(mul, kids)
+        assert isinstance(node, Inverse)
+        inner = ExprMatrix(rest, tuple(tuple(row) for row in kids[0]))
+        try:
+            return [list(row) for row in matrix_inverse_expr(inner, cfg).matrix.entries]
+        except NotInvertible as exc:
+            raise PartialUndefined("inverse of a non-invertible partial value") from exc
 
-    return ExprMatrix(rest, tuple(tuple(row) for row in rec(e)))
+    return ExprMatrix(rest, tuple(tuple(row) for row in fold(e, rule)))

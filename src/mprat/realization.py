@@ -11,7 +11,7 @@ I_s (x) X; this is a unital homomorphism on the coefficients, so the
 realization identity survives the size change and real_evaluate agrees with
 plain evaluation wherever both sides are defined.
 
-Construction is a structural recursion: sums stack two realizations side by
+Construction is a bottom-up fold: sums stack two realizations side by
 side, products chain them through a constant coupling block that is folded
 back into the pencil coefficients, and inverses add one block coordinate,
 using the (invertible) value at the base point as the constant term.
@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from .evaluation import Evaluator, NcPoint, Undefined
-from .expression import Alphabet, Const, Expr, Inverse, Product, Sum, Var
+from .expression import Alphabet, Const, Expr, Inverse, Product, Sum, Var, fold
 from .matrix_kernel import Matrix, det, inv_det, kron, scalar_matrix, solve
 
 Blocks = dict[tuple[int, int], Matrix]
@@ -203,33 +204,19 @@ def realize(e: Expr, alphabet: Alphabet, p: Sequence[Matrix]) -> Realization:
     pt = tuple(p)
     positions = {(v.part, v.index, v.primed): i + 1 for i, v in enumerate(alphabet.letters())}
 
-    memo: dict[int, Realization] = {}
-
-    def rec(node: Expr) -> Realization:
-        key = id(node)
-        if key in memo:
-            return memo[key]
+    def rule(node: Expr, kids: list[Realization]) -> Realization:
         if isinstance(node, Const):
-            out = _const_real(node.value, m, pt, field)
-        elif isinstance(node, Var):
-            out = _letter_real(positions[(node.part, node.index, node.primed)], m, pt, field)
-        elif isinstance(node, Sum):
-            out = rec(node.terms[0])
-            for t in node.terms[1:]:
-                out = _sum_real(out, rec(t))
-        elif isinstance(node, Product):
-            out = rec(node.factors[0])
-            for f in node.factors[1:]:
-                out = _prod_real(out, rec(f))
-        else:
-            assert isinstance(node, Inverse)
-            arg_value = ev.memo[id(node.arg)][1]
-            assert isinstance(arg_value, Matrix)
-            out = _inverse_real(rec(node.arg), arg_value)
-        memo[key] = out
-        return out
+            return _const_real(node.value, m, pt, field)
+        if isinstance(node, Var):
+            return _letter_real(positions[(node.part, node.index, node.primed)], m, pt, field)
+        if isinstance(node, Sum):
+            return reduce(_sum_real, kids)
+        if isinstance(node, Product):
+            return reduce(_prod_real, kids)
+        assert isinstance(node, Inverse)
+        return _inverse_real(kids[0], ev.memo[id(node.arg)][1])
 
-    return rec(e)
+    return fold(e, rule)
 
 
 def _amplified_pencil(r: Realization, a: Sequence[Matrix]) -> Matrix:

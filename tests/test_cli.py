@@ -228,15 +228,37 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["eval", "--alphabet", "1:1", "--expr", "missing.expr",
                  "--point", bad]) == 2
     capsys.readouterr()
+    for dims, mats in ((["1", 1], [["1"]]), ([1.0, 1], [["1"]]),
+                       ([True, 1], [["1"]]), ([0, 1], [[]])):
+        point = wj(tmp_path, "dims.json", {"dims": dims, "parts": [mats, [["1"]]]})
+        assert main(["eval", "--alphabet", "2:1,1", "--expr", e, "--point", point]) == 2
+        assert capsys.readouterr().out == ""
+    for n in (True, 1.0, "1", 0):
+        point = wj(tmp_path, "bf.json", {"n": n, "a_outer": [["1"]], "a_inner": [["1"]],
+                                         "b_inner": [["1"]], "b_outer": [["1"]]})
+        assert main(["bf-eval", "--g", "1", "--expr", e, "--point", point]) == 2
+        assert capsys.readouterr().out == ""
 
 
-def test_internal_error_exit_4(tmp_path, capsys):
+def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):
     # exit 1 means "nonzero witness"; a crash must not be mistaken for it
-    expr = w(tmp_path, "deep.expr", "inv(" * 5000 + "X1_1" + ")" * 5000)
+    def broken(*args):
+        raise RuntimeError("library failure\nsecond line")
+    monkeypatch.setattr("mprat.cli.is_zero", broken)
+    expr = w(tmp_path, "e.expr", "inv(X1_1)")
     code, out, err = run(capsys, "check-zero", "--alphabet", "1:1", "--expr", expr)
     assert code == 4
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deeply_nested_input_gets_a_verdict(tmp_path, capsys):
+    # 5000 nested inverses of X1_1 evaluate to X1_1 itself
+    expr = w(tmp_path, "deep.expr", "inv(" * 5000 + "X1_1" + ")" * 5000)
+    code, rep = jrun(capsys, "check-zero", "--alphabet", "1:1", "--expr", expr)
+    assert code == 1
+    assert rep["verdict"] == "nonzero"
+    assert rep["value"] == [[rep["point"]["parts"][0][0][0]]]
 
 
 def test_help_exits_zero(capsys):

@@ -1,0 +1,138 @@
+"""Every expression transform answers input nested deeper than the
+interpreter's recursion limit.
+
+The limit is lowered for these tests so that they stay quick: realize costs
+a number of matrix products quadratic in the depth.  Deep results are
+compared through their printed form or their values, because dataclass
+equality and hashing of Expr nodes still recurse.
+"""
+
+import sys
+from fractions import Fraction
+
+import pytest
+
+from mprat.calculus import delta, prime_part
+from mprat.evaluation import MpPoint, mp_evaluate
+from mprat.expression import (
+    Alphabet,
+    Const,
+    Inverse,
+    Sum,
+    Var,
+    format_expr,
+    parse,
+    poly_normal_form,
+    validate_vars,
+)
+from mprat.identity import NonzeroWitness, ProbablyZeroUpTo, TestConfig, equivalent, is_zero
+from mprat.matrix_kernel import QQ, Matrix
+from mprat.matrix_rational import partial_evaluate
+from mprat.realization import realize
+
+F = Fraction
+LIMIT = 250
+N = LIMIT + 101  # odd: the chain below is 1 / (X1_1 + 1)
+AB = Alphabet((1,))
+AB2 = Alphabet((1, 1))
+
+
+@pytest.fixture(autouse=True)
+def low_recursion_limit():
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(LIMIT)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def chain(inner: str) -> str:
+    return "inv(" * N + inner + ")" * N
+
+
+def ladder(inner: str) -> str:
+    # 1 + 2 * (1 + 2 * ( ... inner)): sums and products alternate, 2N deep
+    return "1 + 2 * (" * N + inner + ")" * N
+
+
+def scalar(x) -> Matrix:
+    return Matrix.of(QQ, [[x]])
+
+
+def f(x):
+    return 1 / F(x + 1)
+
+
+def check_parse():
+    text = chain("X1_1 + 1")
+    assert format_expr(parse(text, AB)) == text
+
+
+def check_format_expr():
+    e = Sum((Var(1, 1), Const(F(1))))
+    for _ in range(N):
+        e = Inverse(e)
+    assert format_expr(e) == chain("X1_1 + 1")
+
+
+def check_validate_vars():
+    validate_vars(parse(chain("X1_1 + 1"), AB), AB)
+    with pytest.raises(ValueError):
+        validate_vars(parse(chain("X1_2"), Alphabet((2,))), AB)
+
+
+def check_mp_evaluate():
+    value = mp_evaluate(parse(chain("X1_1 + 1"), AB), MpPoint(AB, ((scalar(2),),)))
+    assert value == scalar(f(2))
+
+
+def check_is_zero():
+    verdict = is_zero(parse(chain("X1_1 + 1"), AB), AB)
+    assert isinstance(verdict, NonzeroWitness)
+    assert verdict.value == scalar(f(verdict.point.parts[0][0].entry(0, 0)))
+
+
+def check_equivalent():
+    cfg = TestConfig(max_level=2, trials_per_level=2)
+    e = parse(chain("X1_1 + 1"), AB)
+    assert isinstance(equivalent(e, e, AB, cfg), ProbablyZeroUpTo)
+
+
+def check_delta():
+    # at commuting 1x1 letters delta is the difference quotient
+    d = delta(1, 1, parse(chain("X1_1 + 1"), AB), AB)
+    point = MpPoint(AB.with_primed(1), ((scalar(2),), (scalar(5),)))
+    assert mp_evaluate(d, point) == scalar((f(2) - f(5)) / (2 - 5))
+
+
+def check_prime_part():
+    e = prime_part(parse(chain("X1_1 + 1"), AB), 1)
+    assert format_expr(e) == chain("X1_1' + 1")
+
+
+def check_poly_normal_form():
+    nf = poly_normal_form(parse(ladder("X1_1"), AB), AB)
+    assert nf.terms == {((),): 2 ** N - 1, ((1,),): 2 ** N}
+
+
+def check_partial_evaluate():
+    m = partial_evaluate(parse(ladder("X1_1 + X2_1"), AB2), AB2, [scalar(3)])
+    assert format_expr(m.entries[0][0]) == ladder("3 + X1_1")
+
+
+def check_realize():
+    # the pencil argument vanishes at the base point, so the value there is c . b
+    r = realize(parse(ladder("X1_1"), AB), AB, [scalar(2)])
+    value = sum((c @ b for c, b in zip(r.c, r.b)), Matrix.zeros(1, 1))
+    assert value == scalar(2 ** N - 1 + 2 ** N * 2)
+
+
+@pytest.mark.parametrize("check", [
+    check_parse, check_format_expr, check_validate_vars, check_mp_evaluate,
+    check_is_zero, check_equivalent, check_delta, check_prime_part,
+    check_poly_normal_form, check_partial_evaluate, check_realize,
+], ids=lambda c: c.__name__.removeprefix("check_"))
+def test_deeper_than_the_recursion_limit(check):
+    assert N > sys.getrecursionlimit()
+    check()

@@ -135,6 +135,16 @@ def test_evaluator_reuse_across_temporary_expressions():
     assert wrong == []
 
 
+def test_reused_evaluator_reports_the_path_from_the_current_root():
+    ab = Alphabet((1,))
+    ev = Evaluator(NcPoint(ab, (Matrix.zeros(1, 1),)))
+    e = parse("1 + inv(X1_1)", ab)
+    assert ev.run(e).path == (1,)
+    inner = ev.run(e.terms[1])
+    assert inner.subexpr is e.terms[1]
+    assert inner.path == ()
+
+
 def test_nc_evaluate_against_reference():
     rng = random.Random("nc-ref")
     for _ in range(25):

@@ -194,8 +194,9 @@ def test_subexpr_at():
     assert subexpr_at(e, (0,)) == Var(1, 1)
     assert subexpr_at(e, (1, 1)) == Inverse(Var(2, 1))
     assert subexpr_at(e, (1, 1, 0)) == Var(2, 1)
-    with pytest.raises(ValueError):
-        subexpr_at(e, (0, 0))
+    for bad in ((0, 0), (2,), (-1,), (1, -1), (1, 2), (1, 1, 1), (1, 1, -1)):
+        with pytest.raises(ValueError):
+            subexpr_at(e, bad)
 
 
 # -- formatting ---------------------------------------------------------------
