@@ -97,7 +97,42 @@ class Alphabet:
 
 
 class Expr:
+    """Base of the expression nodes.
+
+    Equality and hashing are structural and use no recursion: the leaves
+    ``Const`` and ``Var`` compare as dataclasses, while ``Sum``, ``Product``
+    and ``Inverse`` inherit the explicit-stack methods below.
+    """
+
     __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Expr):
+            return NotImplemented
+        matched: set[tuple[int, int]] = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            ka, kb = _children(a), _children(b)
+            if not ka:
+                if a != b:
+                    return False
+                continue
+            if len(ka) != len(kb):
+                return False
+            # a pair of shared subtrees is compared once
+            if (id(a), id(b)) not in matched:
+                matched.add((id(a), id(b)))
+                stack += zip(ka, kb)
+        return True
+
+    def __hash__(self) -> int:
+        return fold(self, lambda node, hashes: hash((type(node).__name__, *hashes))
+                    if hashes else hash(node))
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,7 +147,7 @@ class Var(Expr):
     primed: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Sum(Expr):
     terms: tuple[Expr, ...]
 
@@ -121,7 +156,7 @@ class Sum(Expr):
             raise ValueError("Sum needs at least two terms")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Product(Expr):
     factors: tuple[Expr, ...]
 
@@ -130,7 +165,7 @@ class Product(Expr):
             raise ValueError("Product needs at least two factors")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Inverse(Expr):
     arg: Expr
 

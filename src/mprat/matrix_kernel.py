@@ -9,9 +9,21 @@ Field elements are plain values (``fractions.Fraction`` over the rationals,
 canonical ``int`` residues modulo p) and the field object supplies the
 operations.  Matrices refuse to combine operands over different fields.
 
-Determinants and linear solves over the rationals go through fraction-free
-Bareiss elimination on a row-scaled integer copy, which keeps intermediate
-entries to minor-sized integers instead of letting gcd bookkeeping blow up.
+Over the rationals the kernel computes on integers and makes ``Fraction``s
+only for the entries it returns, so a matrix's ``data`` is always canonical
+``Fraction``s while its inner loops pay no gcd per operation:
+
+* a product writes each row of A and each column of B as integers over the
+  lcm of that line's denominators, takes integer dot products and builds one
+  ``Fraction(dot, den_i * den_j)`` per output entry;
+* determinants and solves run fraction-free Bareiss elimination on a
+  row-scaled integer copy of ``[A | B]``, which keeps intermediate entries
+  to minor-sized integers.  With ``d`` the last pivot (the determinant of
+  the row-swapped scaled A), ``y = d * x`` is integral by Cramer's rule, so
+  back substitution ``y_i = (d * c_i - sum_{j>i} u_ij * y_j) // u_ii``
+  divides exactly and each solution entry is one ``Fraction(y_i, d)``.
+
+Over ``PrimeField`` every operation reduces modulo p as it goes.
 """
 
 from __future__ import annotations
@@ -21,8 +33,18 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Sequence
 
+_mul = operator.mul
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+
+def _over_common_den(line) -> tuple[int, list[int]]:
+    """(d, ks) with line == [k / d for k in ks], d the lcm of the denominators."""
+    d = lcm(*(x.denominator for x in line))
+    if d == 1:
+        return 1, [x.numerator for x in line]
+    return d, [x.numerator * (d // x.denominator) for x in line]
+
 
 #: 2**61 - 1, a Mersenne prime large enough that random small-entry data
 #: essentially never collides with 0 mod p by accident.
@@ -52,8 +74,15 @@ class Rationals:
         return 1 / a
 
     @staticmethod
-    def dot(xs, ys) -> Fraction:
-        return sum(map(operator.mul, xs, ys), _F0)
+    def matmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+        """Rows of a @ b for non-empty operands: integer dot products over each
+        line's common denominator, one normalisation per entry."""
+        b_cols = [_over_common_den(col) for col in zip(*b)]
+        out = []
+        for row in a:
+            da, xs = _over_common_den(row)
+            out.append([Fraction(sum(map(_mul, xs, ys)), da * db) for db, ys in b_cols])
+        return out
 
     def __repr__(self) -> str:
         return "QQ"
@@ -104,8 +133,11 @@ class PrimeField:
             raise ZeroDivisionError(f"inverse of zero in {self.name}")
         return pow(a, -1, self.p)
 
-    def dot(self, xs, ys):
-        return sum(map(operator.mul, xs, ys)) % self.p
+    def matmul(self, a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+        """Rows of a @ b for non-empty operands, each dot product reduced once."""
+        p = self.p
+        b_cols = list(zip(*b))
+        return [[sum(map(_mul, row, col)) % p for col in b_cols] for row in a]
 
     def __repr__(self) -> str:
         return self.name
@@ -154,8 +186,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int, field=QQ) -> "Matrix":
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
+        return scalar_matrix(n, field.one, field)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, field=QQ) -> "Matrix":
@@ -215,13 +246,9 @@ class Matrix:
         self._check(other, same_shape=False)
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        dot = self.field.dot
-        cols_t = list(zip(*other.data)) if other.data else []
-        if not cols_t:
+        if not (self.cols and other.cols):
             return Matrix.zeros(self.rows, other.cols, self.field)
-        return Matrix(self.field,
-                      [[dot(row, col) for col in cols_t] for row in self.data],
-                      other.cols)
+        return Matrix(self.field, self.field.matmul(self.data, other.data), other.cols)
 
     def scale(self, c) -> "Matrix":
         mul = self.field.mul
@@ -248,21 +275,36 @@ class Matrix:
 
 def scalar_matrix(n: int, c, field=QQ) -> Matrix:
     """c times the n-by-n identity."""
-    return Matrix.identity(n, field).scale(field.of(c))
+    c, z = field.of(c), field.zero
+    return Matrix(field, [[c if i == j else z for j in range(n)] for i in range(n)], n)
 
 
 # -- Kronecker structure ----------------------------------------------------
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product; block (i,j) of the result is a[i][j] * b."""
+    """Kronecker product; block (i,j) of the result is a[i][j] * b.
+
+    Zero and one entries of ``a`` copy a zero segment or the row of ``b``
+    instead of multiplying, so identity factors cost no arithmetic.
+    """
     a._check(b, same_shape=False)
-    mul = a.field.mul
+    field = a.field
+    mul, zero, one = field.mul, field.zero, field.one
+    zeros = [zero] * b.cols
     data = []
     for arow in a.data:
         for brow in b.data:
-            data.append([mul(av, bv) for av in arow for bv in brow])
-    return Matrix(a.field, data, a.cols * b.cols)
+            row = []
+            for av in arow:
+                if av == zero:
+                    row += zeros
+                elif av == one:
+                    row += brow
+                else:
+                    row += [mul(av, bv) for bv in brow]
+            data.append(row)
+    return Matrix(field, data, a.cols * b.cols)
 
 
 def direct_sum(a: Matrix, b: Matrix) -> Matrix:
@@ -360,9 +402,8 @@ def _scaled_int_rows(a: Matrix, b: Matrix | None) -> tuple[list[list[int]], list
     # the scaled system is exact.
     rows, dens = [], []
     for i in range(a.rows):
-        row = list(a.data[i]) + (list(b.data[i]) if b is not None else [])
-        den = lcm(*(x.denominator for x in row)) if row else 1
-        rows.append([int(x * den) for x in row])
+        den, row = _over_common_den(a.data[i] + b.data[i] if b is not None else a.data[i])
+        rows.append(row)
         dens.append(den)
     return rows, dens
 
@@ -396,19 +437,24 @@ def _bareiss_forward(rows: list[list[int]], n: int, width: int) -> int | None:
     return sign
 
 
-def _back_substitute(rows: list[list[int]], n: int, ncols: int) -> list[list[Fraction]]:
-    xs: list[list[Fraction]] = [[_F0] * ncols for _ in range(n)]
+def _back_substitute(rows: list[list[int]], n: int) -> list[list[Fraction]]:
+    """Solution of the eliminated system, fraction-free.
+
+    With d the last pivot, y = d * x is integral, so every division below is
+    exact; only the returned entries y / d are Fractions.
+    """
+    d = rows[n - 1][n - 1]
+    ys: list[list[int]] = [[]] * n
     for i in reversed(range(n)):
         ri = rows[i]
+        acc = [d * c for c in ri[n:]]
+        for j in range(i + 1, n):
+            u = ri[j]
+            if u:
+                acc = [s - u * y for s, y in zip(acc, ys[j])]
         piv = ri[i]
-        for col in range(ncols):
-            acc = Fraction(ri[n + col])
-            for j in range(i + 1, n):
-                cij = ri[j]
-                if cij:
-                    acc -= cij * xs[j][col]
-            xs[i][col] = acc / piv
-    return xs
+        ys[i] = [s // piv for s in acc]
+    return [[Fraction(y, d) for y in yrow] for yrow in ys]
 
 
 def _gfp_solve(a: Matrix, b: Matrix, want_det: bool):
@@ -468,7 +514,7 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
     rows, _ = _scaled_int_rows(a, b)
     if _bareiss_forward(rows, n, n + b.cols) is None:
         return None
-    return Matrix(a.field, _back_substitute(rows, n, b.cols), b.cols)
+    return Matrix(a.field, _back_substitute(rows, n), b.cols)
 
 
 def inv_det(a: Matrix):
@@ -491,6 +537,6 @@ def inv_det(a: Matrix):
         return None
     # rows hold D @ A with D the diagonal of row multipliers; the identity
     # block was pre-multiplied by D as well, so solutions are A^{-1} exactly.
-    inv = Matrix(a.field, _back_substitute(rows, n, n), n)
+    inv = Matrix(a.field, _back_substitute(rows, n), n)
     d = Fraction(sign * rows[n - 1][n - 1], prod(dens))
     return inv, d

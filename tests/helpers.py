@@ -122,6 +122,23 @@ def l_inv(a):
     return [row[n:] for row in aug]
 
 
+def laplace_det(a):
+    """Determinant of a Matrix by first-row expansion."""
+    n = a.rows
+    if n == 0:
+        return F(1)
+    if n == 1:
+        return a.entry(0, 0)
+    total = F(0)
+    for j in range(n):
+        if a.entry(0, j) == 0:
+            continue
+        minor = Matrix(QQ, [[a.entry(i, k) for k in range(n) if k != j]
+                            for i in range(1, n)])
+        total += (-1) ** j * a.entry(0, j) * laplace_det(minor)
+    return total
+
+
 def naive_nc_eval(e, assign, n):
     """Recursive evaluation with no sharing; None when an inverse fails."""
     if isinstance(e, Const):

@@ -2,9 +2,8 @@
 interpreter's recursion limit.
 
 The limit is lowered for these tests so that they stay quick: realize costs
-a number of matrix products quadratic in the depth.  Deep results are
-compared through their printed form or their values, because dataclass
-equality and hashing of Expr nodes still recurse.
+a number of matrix products quadratic in the depth.  ``repr`` of an Expr
+node is the one method that still recurses.
 """
 
 import sys
@@ -69,6 +68,26 @@ def check_parse():
     assert format_expr(parse(text, AB)) == text
 
 
+def check_eq_and_hash():
+    a, b = parse(chain("X1_1 + 1"), AB), parse(chain("X1_1 + 1"), AB)
+    c = parse(chain("X1_1 + 2"), AB)
+    assert a == b and hash(a) == hash(b)
+    assert a != c and not a == c
+    assert len({a, b, c}) == 2
+
+
+def check_eq_and_hash_on_shared_subtrees():
+    # N doublings: 2^N leaves as a tree, N + 1 nodes as a DAG
+    def doubled(leaf):
+        e = leaf
+        for _ in range(N):
+            e = Sum((e, e))
+        return e
+    a, b = doubled(Var(1, 1)), doubled(Var(1, 1))
+    assert a == b and hash(a) == hash(b)
+    assert a != doubled(Var(1, 2))
+
+
 def check_format_expr():
     e = Sum((Var(1, 1), Const(F(1))))
     for _ in range(N):
@@ -129,7 +148,8 @@ def check_realize():
 
 
 @pytest.mark.parametrize("check", [
-    check_parse, check_format_expr, check_validate_vars, check_mp_evaluate,
+    check_parse, check_eq_and_hash, check_eq_and_hash_on_shared_subtrees,
+    check_format_expr, check_validate_vars, check_mp_evaluate,
     check_is_zero, check_equivalent, check_delta, check_prime_part,
     check_poly_normal_form, check_partial_evaluate, check_realize,
 ], ids=lambda c: c.__name__.removeprefix("check_"))

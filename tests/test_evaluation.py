@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    CORPUS_ALPHABET,
+    CORPUS_TEXTS,
     assert_defined,
     commuting_nc_point,
     gen_expr,
@@ -31,7 +33,15 @@ from mprat.evaluation import (
     tau_point_of_nc,
 )
 from mprat.expression import Alphabet, Const, Inverse, parse
-from mprat.matrix_kernel import QQ, Matrix, direct_sum, inv_det, kron, scalar_matrix
+from mprat.matrix_kernel import (
+    QQ,
+    Matrix,
+    PrimeField,
+    direct_sum,
+    inv_det,
+    kron,
+    scalar_matrix,
+)
 
 F = Fraction
 
@@ -328,3 +338,24 @@ def test_bf_result_size():
     p = rand_bf_point(rng, 2, 2)
     v = assert_defined(bf_evaluate(parse("X1_1 + X2_2", Alphabet((2, 2))), p))
     assert v.rows == 2 ** 4
+
+
+@pytest.mark.parametrize("text", CORPUS_TEXTS)
+def test_rational_value_reduces_to_the_prime_field_value(text):
+    # Defined mod p means every inverse had a p-unit determinant, so the
+    # rational value exists and reduces entrywise to the mod-p value.
+    gf = PrimeField()
+    e = parse(text, CORPUS_ALPHABET)
+    rng = random.Random(f"qq-gf {text}")
+    defined = 0
+    for dims in ((2, 2), (2, 2), (1, 3), (3, 1)):
+        point = rand_mp_point(rng, CORPUS_ALPHABET, dims, bound=5)
+        mod_p = MpPoint(CORPUS_ALPHABET, tuple(tuple(Matrix.of(gf, m.data) for m in mats)
+                                                for mats in point.parts))
+        got = mp_evaluate(e, mod_p)
+        if isinstance(got, Undefined):
+            continue
+        want = assert_defined(mp_evaluate(e, point))
+        assert got == Matrix.of(gf, want.data)
+        defined += 1
+    assert defined

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import l_inv, l_kron, l_mul, laplace_det
 from mprat.matrix_kernel import (
     QQ,
     Matrix,
@@ -33,21 +34,20 @@ def rand_int_matrix(rng, n, m, field=QQ, bound=9):
                              for _ in range(n)])
 
 
-def laplace_det(a):
-    # independent determinant for cross-checking, first-row expansion
-    n = a.rows
-    if n == 0:
-        return F(1)
-    if n == 1:
-        return a.entry(0, 0)
-    total = F(0)
-    for j in range(n):
-        if a.entry(0, j) == 0:
-            continue
-        minor = Matrix(QQ, [[a.entry(i, k) for k in range(n) if k != j]
-                            for i in range(1, n)])
-        total += (-1) ** j * a.entry(0, j) * laplace_det(minor)
-    return total
+def rand_wide_matrix(rng, n, m):
+    # zeros, small integers and large fractions with unrelated denominators
+    def entry():
+        roll = rng.random()
+        if roll < 0.2:
+            return 0
+        if roll < 0.4:
+            return rng.randint(-9, 9)
+        return F(rng.randint(-10 ** 15, 10 ** 15), rng.randint(1, 10 ** 9))
+    return Matrix.of(QQ, [[entry() for _ in range(m)] for _ in range(n)], m)
+
+
+def all_fractions(m):
+    return all(type(x) is Fraction for row in m.data for x in row)
 
 
 # -- matrix basics ------------------------------------------------------------
@@ -95,9 +95,33 @@ def test_empty_shapes():
     e = Matrix.zeros(0, 3)
     assert e.rows == 0 and e.cols == 3
     assert (e.transpose() @ e) == Matrix.zeros(3, 3)
+    for n, m, k in [(0, 3, 2), (2, 0, 3), (3, 0, 0), (0, 0, 4), (2, 3, 0)]:
+        p = Matrix.zeros(n, m) @ Matrix.zeros(m, k)
+        assert (p.rows, p.cols) == (n, k)
+        assert p == Matrix.zeros(n, k)
+    gf = PrimeField(97)
+    assert Matrix.zeros(2, 0, gf) @ Matrix.zeros(0, 3, gf) == Matrix.zeros(2, 3, gf)
+
+
+def test_matmul_matches_reference():
+    rng = random.Random("matmul-oracle")
+    for n, m, k in [(1, 1, 1), (2, 3, 4), (4, 1, 3), (5, 5, 5), (3, 6, 2)]:
+        a, b = rand_wide_matrix(rng, n, m), rand_wide_matrix(rng, m, k)
+        assert (a @ b).data == l_mul(a.data, b.data)
 
 
 # -- Kronecker tools ----------------------------------------------------------
+
+
+def test_kron_zero_and_one_entries_match_reference():
+    rng = random.Random("kron-oracle")
+    a = Matrix.of(QQ, [[0, 1, -1], ["1/2", 0, 1]])
+    b = rand_wide_matrix(rng, 2, 3)
+    assert kron(a, b).data == l_kron(a.data, b.data)
+    assert kron(b, a).data == l_kron(b.data, a.data)
+    gf = PrimeField(97)
+    a_p, b_p = Matrix.of(gf, a.data), Matrix.of(gf, rand_int_matrix(rng, 2, 3).data)
+    assert kron(a_p, b_p) == Matrix.of(gf, l_kron(a_p.data, b_p.data))
 
 
 def test_kron_example():
@@ -227,10 +251,38 @@ def test_det_edge_cases():
         det(Matrix.zeros(2, 3))
 
 
+
+
+def test_zero_leading_pivot_forces_row_swaps():
+    b = Matrix.of(QQ, [[1, 0, "-7/3"], [2, "1/5", 0], [0, -1, 4]])
+    for a in [
+        Matrix.of(QQ, [[0, 2, "1/3"], ["-3/2", 1, 0], [5, 0, "7/4"]]),
+        Matrix.of(QQ, [[0, 0, 2], [0, 3, 1], [5, 1, 1]]),    # third row swaps up, det -30
+        Matrix.of(QQ, [[1, 2, 3], [2, 4, 5], [1, 0, 1]]),    # zero second pivot
+    ]:
+        inv, d = inv_det(a)
+        assert d == det(a) == laplace_det(a) != 0
+        assert inv.data == l_inv(a.data)
+        assert solve(a, b).data == l_mul(l_inv(a.data), b.data)
+    assert det(Matrix.of(QQ, [[0, 0, 2], [0, 3, 1], [5, 1, 1]])) == -30
+
+
 def test_singular_paths():
-    a = Matrix.of(QQ, [[1, 2], [2, 4]])
-    assert inv_det(a) is None
-    assert solve(a, Matrix.identity(2)) is None
+    rng = random.Random("singular")
+    c = rand_wide_matrix(rng, 3, 3)
+    dependent = Matrix(QQ, c.data[:2] + [[2 * x - y for x, y in zip(*c.data[:2])]], 3)
+    for a in [
+        Matrix.of(QQ, [[1, 2], [2, 4]]),
+        Matrix.of(QQ, [[0, 0], [0, 1]]),                     # zero first column
+        Matrix.of(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]]),    # no pivot at step 2
+        Matrix.of(QQ, [["1/2", "1/3"], ["3/2", 1]]),         # last pivot is zero
+        dependent,
+        Matrix.zeros(2, 2),
+    ]:
+        assert inv_det(a) is None
+        assert solve(a, Matrix.identity(a.rows)) is None
+        assert det(a) == 0 == laplace_det(a)
+        assert type(det(a)) is Fraction
 
 
 def test_det_matches_laplace():
@@ -270,6 +322,38 @@ def test_solve_properties():
         assert a @ x == b
         checked += 1
     assert solve(Matrix.zeros(0, 0), Matrix.zeros(0, 3)) == Matrix.zeros(0, 3)
+
+
+def test_inv_det_and_solve_match_reference():
+    rng = random.Random("inv-oracle")
+    checked = 0
+    while checked < 10:
+        n = rng.choice((1, 2, 3, 4, 5))
+        a = rand_wide_matrix(rng, n, n)
+        want = l_inv(a.data)
+        res = inv_det(a)
+        if want is None:
+            assert res is None and det(a) == 0
+            continue
+        inv, d = res
+        assert inv.data == want
+        assert d == laplace_det(a)
+        b = rand_wide_matrix(rng, n, 3)
+        assert solve(a, b).data == l_mul(want, b.data)
+        checked += 1
+
+
+def test_qq_results_are_fractions():
+    # an int entry prints like a Fraction, but 1 / int is a float
+    a = Matrix.of(QQ, [[2, 1], [1, 1]])
+    b = Matrix.of(QQ, [[0, 1], [1, 0]])
+    inv, d = inv_det(a)
+    results = [a @ b, a @ a, solve(a, b), inv, kron(a, b), kron(b, a),
+               tau_embed(2, a, (2, 2, 3)), scalar_matrix(3, 2), scalar_matrix(2, 0),
+               Matrix.identity(2), direct_sum(a, b)]
+    assert all(all_fractions(m) for m in results)
+    assert type(d) is Fraction and type(det(a)) is Fraction
+    assert type(det(Matrix.zeros(0, 0))) is Fraction
 
 
 # -- prime fields -------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Property tests of the expression core on generated expressions.
+"""Property tests of the expression core and the rational kernel.
 
 Development-only: skipped when hypothesis is not installed.  Every test is
 derandomized, so a run is as deterministic as the rest of the suite.
@@ -12,7 +12,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import settings, strategies as st  # noqa: E402
 
-from helpers import naive_mp_eval, rand_mp_point  # noqa: E402
+from helpers import l_inv, l_mul, laplace_det, naive_mp_eval, rand_mp_point  # noqa: E402
 from mprat.evaluation import Undefined, mp_evaluate  # noqa: E402
 from mprat.expression import (  # noqa: E402
     Alphabet,
@@ -24,6 +24,7 @@ from mprat.expression import (  # noqa: E402
     inverse_of,
     parse,
 )
+from mprat.matrix_kernel import QQ, Matrix, det, inv_det, solve  # noqa: E402
 
 AB = Alphabet((2, 2))
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -67,3 +68,54 @@ def test_mp_evaluate_matches_the_naive_evaluator(e, seed, dims):
     else:
         assert not isinstance(got, Undefined)
         assert got.data == want
+
+
+# zeros and small integers (zero pivots, integral lines) mixed with large
+# fractions over unrelated denominators
+entries = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 6)),
+)
+
+
+def matrices(rows, cols):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def fractions_only(m):
+    return all(type(x) is Fraction for row in m.data for x in row)
+
+
+@SETTINGS
+@hypothesis.given(st.integers(0, 4), st.integers(1, 4), st.integers(0, 4), st.data())
+def test_matrix_product_matches_the_reference(n, m, k, data):
+    a, b = data.draw(matrices(n, m)), data.draw(matrices(m, k))
+    got = Matrix(QQ, a, m) @ Matrix(QQ, b, k)
+    assert (got.rows, got.cols) == (n, k)
+    assert got.data == l_mul(a, b)
+    assert fractions_only(got)
+
+
+@SETTINGS
+@hypothesis.given(st.integers(1, 4), st.booleans(), st.data())
+def test_inverse_determinant_and_solve_match_the_reference(n, singular, data):
+    rows = data.draw(matrices(n, n))
+    if singular:
+        # the last row becomes a combination of the others (zero when n = 1)
+        c = data.draw(entries)
+        rows[-1] = [c * sum(col[:-1], Fraction(0)) for col in zip(*rows)]
+    a = Matrix(QQ, rows, n)
+    b = data.draw(matrices(n, 2))
+    want = l_inv(rows)
+    d = det(a)
+    assert d == laplace_det(a) and type(d) is Fraction
+    if want is None:
+        assert d == 0
+        assert inv_det(a) is None and solve(a, Matrix(QQ, b, 2)) is None
+        return
+    inv, d2 = inv_det(a)
+    assert inv.data == want and d2 == d
+    x = solve(a, Matrix(QQ, b, 2))
+    assert x.data == l_mul(want, b)
+    assert fractions_only(inv) and fractions_only(x)
