@@ -30,7 +30,8 @@ once, on an explicit stack, so nesting depth is bounded only by memory.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import reduce
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -99,9 +100,9 @@ class Alphabet:
 class Expr:
     """Base of the expression nodes.
 
-    Equality and hashing are structural and use no recursion: the leaves
-    ``Const`` and ``Var`` compare as dataclasses, while ``Sum``, ``Product``
-    and ``Inverse`` inherit the explicit-stack methods below.
+    Equality, hashing and ``repr`` are structural and use no recursion: the
+    leaves ``Const`` and ``Var`` keep their dataclass methods, while ``Sum``,
+    ``Product`` and ``Inverse`` inherit the explicit-stack methods below.
     """
 
     __slots__ = ()
@@ -134,6 +135,27 @@ class Expr:
         return fold(self, lambda node, hashes: hash((type(node).__name__, *hashes))
                     if hashes else hash(node))
 
+    def __repr__(self) -> str:
+        # exactly the dataclass text, e.g. Inverse(arg=Sum(terms=(Var(...), ...)))
+        out: list[str] = []
+        todo: list[Expr | str] = [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif isinstance(item, Inverse):
+                out.append("Inverse(arg=")
+                todo += (")", item.arg)
+            elif kids := _children(item):
+                out.append(f"{type(item).__name__}({fields(item)[0].name}=(")
+                todo.append("))")
+                for k in kids[:0:-1]:
+                    todo += (k, ", ")
+                todo.append(kids[0])
+            else:
+                out.append(repr(item))
+        return "".join(out)
+
 
 @dataclass(frozen=True, slots=True)
 class Const(Expr):
@@ -147,7 +169,7 @@ class Var(Expr):
     primed: bool = False
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Sum(Expr):
     terms: tuple[Expr, ...]
 
@@ -156,7 +178,7 @@ class Sum(Expr):
             raise ValueError("Sum needs at least two terms")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Product(Expr):
     factors: tuple[Expr, ...]
 
@@ -165,7 +187,7 @@ class Product(Expr):
             raise ValueError("Product needs at least two factors")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Inverse(Expr):
     arg: Expr
 
@@ -472,10 +494,28 @@ def _split_negative(e: Expr) -> Expr | None:
 def format_expr(e: Expr) -> str:
     """Render to the surface grammar; parse(format_expr(e)) == e on builder output.
 
-    Works from an explicit stack of pending nodes and literal pieces.  Every
-    few thousand pieces are joined into a chunk, so that they never take
-    more memory than the text they spell.
+    A node's text does not depend on its parent: the parent adds the
+    parentheses around a sum operand, and a sum turns a term's leading minus
+    into a binary one.  So the text of each node referenced twice or more in
+    e is written once, children first in ``walk`` order, and stored under
+    the node's ``id``; the nodes stay alive for the call, so no id is
+    reused.  Wherever a stored node recurs its text is copied whole.
+    Unshared nodes are never stored, so the work is linear in the output
+    plus the nodes of the DAG.
     """
+    nodes = list(walk(e))
+    refs = Counter(id(c) for node in nodes for c in _children(node))
+    memo: dict[int, str] = {}
+    for node in nodes:
+        if refs[id(node)] > 1:
+            memo[id(node)] = _write(node, memo)
+    return _write(e, memo)
+
+
+def _write(e: Expr, memo: dict[int, str]) -> str:
+    # Works from an explicit stack of pending nodes and literal pieces.  Every
+    # few thousand pieces are joined into a chunk, so that they never take
+    # more memory than the text they spell.
     chunks: list[str] = []
     out: list[str] = []
     write = out.append
@@ -487,6 +527,8 @@ def format_expr(e: Expr) -> str:
         item = todo.pop()
         if isinstance(item, str):
             write(item)
+        elif (text := memo.get(id(item))) is not None:
+            write(text)
         elif isinstance(item, Const):
             write(str(item.value))
         elif isinstance(item, Var):
@@ -507,7 +549,12 @@ def format_expr(e: Expr) -> str:
         elif isinstance(item, Sum):
             for t in item.terms[:0:-1]:
                 neg = _split_negative(t)
-                _push_operand(todo, t if neg is None else neg)
+                if neg is None:
+                    _push_operand(todo, t)
+                elif (text := memo.get(id(t))) is not None:
+                    todo.append(text[1:])  # the stored text is "-" + that of neg
+                else:
+                    _push_operand(todo, neg)
                 todo.append(" + " if neg is None else " - ")
             _push_operand(todo, item.terms[0])
         else:

@@ -76,6 +76,19 @@ def gen_expr(rng, alphabet, depth, allow_inverse=True):
     return inverse_of(gen_expr(rng, alphabet, depth - 1, allow_inverse))
 
 
+def unshare(e: Expr) -> Expr:
+    """A copy of e built fresh at every reference, so no node is shared."""
+    if isinstance(e, Sum):
+        return Sum(tuple(unshare(t) for t in e.terms))
+    if isinstance(e, Product):
+        return Product(tuple(unshare(f) for f in e.factors))
+    if isinstance(e, Inverse):
+        return Inverse(unshare(e.arg))
+    if isinstance(e, Const):
+        return Const(e.value)
+    return Var(e.part, e.index, e.primed)
+
+
 # -- independent reference evaluation (plain lists of Fractions) ----------------
 
 

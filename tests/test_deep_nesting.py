@@ -2,8 +2,7 @@
 interpreter's recursion limit.
 
 The limit is lowered for these tests so that they stay quick: realize costs
-a number of matrix products quadratic in the depth.  ``repr`` of an Expr
-node is the one method that still recurses.
+a number of matrix products quadratic in the depth.
 """
 
 import sys
@@ -12,11 +11,12 @@ from fractions import Fraction
 import pytest
 
 from mprat.calculus import delta, prime_part
-from mprat.evaluation import MpPoint, mp_evaluate
+from mprat.evaluation import MpPoint, Undefined, mp_evaluate
 from mprat.expression import (
     Alphabet,
     Const,
     Inverse,
+    Product,
     Sum,
     Var,
     format_expr,
@@ -95,6 +95,26 @@ def check_format_expr():
     assert format_expr(e) == chain("X1_1 + 1")
 
 
+def check_format_expr_with_sharing():
+    # one X1_1 + 1 node at every level, and the root twice at the top
+    s = Sum((Var(1, 1), Const(F(1))))
+    e, text = s, "(X1_1 + 1)"
+    for _ in range(N):
+        e, text = Inverse(Product((e, s))), f"inv({text} * (X1_1 + 1))"
+    assert format_expr(Product((e, e))) == f"{text} * {text}"
+
+
+def check_repr():
+    # the dataclass text; an undefined inverse at the root carries it whole
+    x = "Inverse(arg=" * N + ("Sum(terms=(Var(part=1, index=1, primed=False), "
+                              "Const(value=Fraction(1, 1))))") + ")" * N
+    e = parse(f"inv({chain('X1_1 + 1')} - {chain('X1_1 + 1')})", AB)
+    u = mp_evaluate(e, MpPoint(AB, ((scalar(2),),)))
+    assert isinstance(u, Undefined) and u.path == ()
+    assert repr(u) == (f"Undefined(subexpr=Inverse(arg=Sum(terms=({x}, Product(factors=("
+                       f"Const(value=Fraction(-1, 1)), {x}))))), path=())")
+
+
 def check_validate_vars():
     validate_vars(parse(chain("X1_1 + 1"), AB), AB)
     with pytest.raises(ValueError):
@@ -149,9 +169,10 @@ def check_realize():
 
 @pytest.mark.parametrize("check", [
     check_parse, check_eq_and_hash, check_eq_and_hash_on_shared_subtrees,
-    check_format_expr, check_validate_vars, check_mp_evaluate,
-    check_is_zero, check_equivalent, check_delta, check_prime_part,
-    check_poly_normal_form, check_partial_evaluate, check_realize,
+    check_format_expr, check_format_expr_with_sharing, check_repr,
+    check_validate_vars, check_mp_evaluate, check_is_zero, check_equivalent,
+    check_delta, check_prime_part, check_poly_normal_form,
+    check_partial_evaluate, check_realize,
 ], ids=lambda c: c.__name__.removeprefix("check_"))
 def test_deeper_than_the_recursion_limit(check):
     assert N > sys.getrecursionlimit()

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import unshare
 from mprat.expression import (
     Alphabet,
     Const,
@@ -255,6 +256,56 @@ def test_format_parse_round_trip_random():
     for _ in range(150):
         e = gen(3)
         assert parse(format_expr(e), AB) == e
+
+
+def assert_prints_as_a_tree(e, want):
+    # shared nodes print from memo; the text must be that of the tree
+    text = format_expr(e)
+    assert text == want
+    assert format_expr(unshare(e)) == want
+    assert format_expr(parse(text, AB)) == want
+
+
+def test_format_shared_negative_product():
+    # split into " - ..." as a later sum term, kept whole first and as a factor
+    p = Product((Const(F(-2)), Var(1, 2)))
+    assert_prints_as_a_tree(Sum((p, Var(1, 1), p, Product((Var(2, 1), p)))),
+                            "-2 * X1_2 + X1_1 - 2 * X1_2 + X2_1 * -2 * X1_2")
+    # a unit coefficient leaves a parenthesised sum behind its minus
+    q = expr_neg(parse("X1_1 + X1_2", AB))
+    x = Var(2, 1)
+    assert_prints_as_a_tree(expr_sum([x, q, inverse_of(q), q]),
+                            "X2_1 - (X1_1 + X1_2) + inv(-(X1_1 + X1_2)) - (X1_1 + X1_2)")
+    c = Const(F(-3, 2))
+    assert_prints_as_a_tree(Sum((c, x, c)), "-3/2 + X2_1 - 3/2")
+
+
+def test_format_shared_sum():
+    s = parse("X1_1 + 1", AB)
+    assert_prints_as_a_tree(s, "X1_1 + 1")
+    assert_prints_as_a_tree(Product((s, Inverse(s), Var(2, 1), s)),
+                            "(X1_1 + 1) * inv(X1_1 + 1) * X2_1 * (X1_1 + 1)")
+
+
+def test_format_root_shared_in_another_expression():
+    s = parse("X1_1 + 1", AB)
+    r = expr_sum([expr_product([s, Var(2, 1)]), inverse_of(s)])
+    text = "(X1_1 + 1) * X2_1 + inv(X1_1 + 1)"
+    assert_prints_as_a_tree(r, text)
+    assert_prints_as_a_tree(expr_product([r, Var(1, 2), inverse_of(r)]),
+                            f"({text}) * X1_2 * inv({text})")
+
+
+# -- repr -----------------------------------------------------------------------
+
+
+def test_repr_is_the_dataclass_text():
+    e = parse("-2 * inv(X1_1 + 1/2) * X2_1", AB)
+    assert repr(e) == ("Product(factors=(Const(value=Fraction(-2, 1)), "
+                       "Inverse(arg=Sum(terms=(Var(part=1, index=1, primed=False), "
+                       "Const(value=Fraction(1, 2))))), "
+                       "Var(part=2, index=1, primed=False)))")
+    assert repr(Var(1, 2, True)) == "Var(part=1, index=2, primed=True)"
 
 
 # -- inversion height ---------------------------------------------------------

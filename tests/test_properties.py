@@ -12,7 +12,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import settings, strategies as st  # noqa: E402
 
-from helpers import l_inv, l_mul, laplace_det, naive_mp_eval, rand_mp_point  # noqa: E402
+from helpers import l_inv, l_mul, laplace_det, naive_mp_eval, rand_mp_point, unshare  # noqa: E402
 from mprat.evaluation import Undefined, mp_evaluate  # noqa: E402
 from mprat.expression import (  # noqa: E402
     Alphabet,
@@ -55,6 +55,12 @@ exprs = st.recursive(leaves, _grow, max_leaves=12)
 def test_format_parse_format_is_stable(e):
     text = format_expr(e)
     assert format_expr(parse(text, AB)) == text
+
+
+@SETTINGS
+@hypothesis.given(exprs)
+def test_format_of_a_dag_is_the_format_of_its_tree(e):
+    assert format_expr(e) == format_expr(unshare(e))
 
 
 @SETTINGS
