@@ -38,7 +38,7 @@ from .expression import (
     inverse_of,
     validate_vars,
 )
-from .matrix_kernel import Matrix, kron, scalar_matrix
+from .matrix_kernel import Matrix, block_matrix, kron, scalar_matrix
 
 
 def _primed(node: Expr, kids: list[Expr], part: int) -> Expr:
@@ -113,12 +113,6 @@ def directional_delta(part: int, v: Sequence, e: Expr, alphabet: Alphabet) -> Ex
     return expr_sum(terms)
 
 
-def _block2x2(ul: Matrix, ur: Matrix, ll: Matrix, lr: Matrix) -> Matrix:
-    rows = [ul.row(r) + ur.row(r) for r in range(ul.rows)]
-    rows += [ll.row(r) + lr.row(r) for r in range(ll.rows)]
-    return Matrix(ul.field, rows, ul.cols + ur.cols)
-
-
 def fund_block_point(
     a_prime: Sequence[Matrix],
     a: Sequence[Matrix],
@@ -147,7 +141,7 @@ def fund_block_point(
         ul = kron(ap, Matrix.identity(m, field))
         ur = scalar_matrix(half, Fraction(v[j]), field)
         lr = kron(Matrix.identity(mp, field), aj)
-        blocks.append(_block2x2(ul, ur, Matrix.zeros(half, half, field), lr))
+        blocks.append(block_matrix([[ul, ur], [Matrix.zeros(half, half, field), lr]]))
     sizes = (len(a),) + tuple(len(p) for p in rest)
     alphabet = Alphabet(sizes)
     parts = (tuple(blocks),) + tuple(tuple(p) for p in rest)

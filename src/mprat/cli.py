@@ -255,6 +255,8 @@ def cmd_realize(ns) -> tuple[dict, int]:
 
 
 def cmd_bf_eval(ns) -> tuple[dict, int]:
+    if ns.g < 1:
+        raise CliError(f"--g must be at least 1 (got {ns.g})")
     doc = load_json(ns.point)
     if not isinstance(doc, dict) or "n" not in doc:
         raise CliError(f"{ns.point}: bf point files need an 'n' key")

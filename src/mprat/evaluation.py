@@ -216,7 +216,6 @@ def bf_evaluate(e: Expr, p: BfPoint) -> Matrix | Undefined:
     size n^(g+2).
     """
     alphabet = Alphabet((p.g, p.g))
-    validate_vars(e, alphabet)
     dims = (p.n,) * (p.g + 2)
     mats = []
     for i in range(p.g):
@@ -249,7 +248,7 @@ def ell_collapse(m: Matrix, n: int, g: int) -> Matrix:
         for c in range(n):
             acc = field.zero
             for t in range(inner):
-                acc = field.add(acc, m.data[r * inner + t][t * n + c])
+                acc = field.add(acc, m.entry(r * inner + t, t * n + c))
             row.append(acc)
         data.append(row)
     return Matrix(field, data, n)

@@ -9,6 +9,13 @@ Field elements are plain values (``fractions.Fraction`` over the rationals,
 canonical ``int`` residues modulo p) and the field object supplies the
 operations.  Matrices refuse to combine operands over different fields.
 
+Each field owns its matrix product (``matmul``) and its one elimination,
+``solve_det(a_rows, b_rows) -> (x_rows | None, det)``, which solves
+``A X = B`` and returns det A on the way; ``det``, ``solve`` and ``inv_det``
+only check their arguments and dispatch to it.  How a matrix stores its
+rows is known to this module alone: block layouts are assembled by
+``block_matrix`` and read back through ``entry``/``submatrix``.
+
 Over the rationals the kernel computes on integers and makes ``Fraction``s
 only for the entries it returns, so a matrix's ``data`` is always canonical
 ``Fraction``s while its inner loops pay no gcd per operation:
@@ -16,14 +23,15 @@ only for the entries it returns, so a matrix's ``data`` is always canonical
 * a product writes each row of A and each column of B as integers over the
   lcm of that line's denominators, takes integer dot products and builds one
   ``Fraction(dot, den_i * den_j)`` per output entry;
-* determinants and solves run fraction-free Bareiss elimination on a
-  row-scaled integer copy of ``[A | B]``, which keeps intermediate entries
-  to minor-sized integers.  With ``d`` the last pivot (the determinant of
-  the row-swapped scaled A), ``y = d * x`` is integral by Cramer's rule, so
-  back substitution ``y_i = (d * c_i - sum_{j>i} u_ij * y_j) // u_ii``
-  divides exactly and each solution entry is one ``Fraction(y_i, d)``.
+* ``solve_det`` runs fraction-free Bareiss elimination on a row-scaled
+  integer copy of ``[A | B]``, which keeps intermediate entries to
+  minor-sized integers.  With ``d`` the signed last pivot (the determinant
+  of the scaled A), ``y = d * x`` is integral by Cramer's rule, so back
+  substitution ``y_i = (d * c_i - sum_{j>i} u_ij * y_j) // u_ii`` divides
+  exactly and each solution entry is one ``Fraction(y_i, d)``.
 
-Over ``PrimeField`` every operation reduces modulo p as it goes.
+Over ``PrimeField`` every operation reduces modulo p as it goes, and
+``solve_det`` is Gauss-Jordan elimination with modular pivot inverses.
 """
 
 from __future__ import annotations
@@ -84,6 +92,29 @@ class Rationals:
             out.append([Fraction(sum(map(_mul, xs, ys)), da * db) for db, ys in b_cols])
         return out
 
+    @staticmethod
+    def solve_det(a_rows: list[list[Fraction]], b_rows: list[list[Fraction]] | None):
+        """(rows of X, det A) with A X = B, or (None, 0) when A is singular.
+
+        ``b_rows`` None stands for the identity, so X is A^{-1}.  Row
+        scaling [A | B] to integers keeps the solutions; each row's
+        multiplier divides the determinant back out.
+        """
+        n = len(a_rows)
+        rows, dens = [], []
+        for i, a_row in enumerate(a_rows):
+            if b_rows is None:
+                den, row = _over_common_den(a_row)
+                row.extend(den if j == i else 0 for j in range(n))
+            else:
+                den, row = _over_common_den(a_row + b_rows[i])
+            rows.append(row)
+            dens.append(den)
+        d = _bareiss_forward(rows, n)
+        if d == 0:
+            return None, _F0
+        return _back_substitute(rows, n, d), Fraction(d, prod(dens))
+
     def __repr__(self) -> str:
         return "QQ"
 
@@ -139,11 +170,40 @@ class PrimeField:
         b_cols = list(zip(*b))
         return [[sum(map(_mul, row, col)) % p for col in b_cols] for row in a]
 
+    def solve_det(self, a_rows: list[list[int]], b_rows: list[list[int]] | None):
+        """(rows of X, det A) with A X = B, or (None, 0) when A is singular;
+        ``b_rows`` None stands for the identity.  Gauss-Jordan elimination,
+        testing pivots mod p since raw-constructed rows may hold
+        non-canonical residues."""
+        p = self.p
+        n = len(a_rows)
+        if b_rows is None:
+            rows = [list(r) + [1 if j == i else 0 for j in range(n)]
+                    for i, r in enumerate(a_rows)]
+        else:
+            rows = [list(r) + list(b) for r, b in zip(a_rows, b_rows)]
+        det_acc = self.one
+        for k in range(n):
+            piv = next((r for r in range(k, n) if rows[r][k] % p != 0), None)
+            if piv is None:
+                return None, 0
+            if piv != k:
+                rows[k], rows[piv] = rows[piv], rows[k]
+                det_acc = -det_acc % p
+            inv_p = pow(rows[k][k], -1, p)
+            det_acc = det_acc * rows[k][k] % p
+            rows[k] = [x * inv_p % p for x in rows[k]]
+            for i in range(n):
+                if i != k and rows[i][k]:
+                    f = rows[i][k]
+                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[k])]
+        return [row[n:] for row in rows], det_acc
+
     def __repr__(self) -> str:
         return self.name
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
+        return type(other) is type(self) and other.p == self.p
 
     def __hash__(self) -> int:
         return hash(("GF", self.p))
@@ -197,9 +257,6 @@ class Matrix:
 
     def entry(self, i: int, j: int):
         return self.data[i][j]
-
-    def row(self, i: int) -> list:
-        return self.data[i]
 
     def flat(self) -> list:
         return [x for row in self.data for x in row]
@@ -307,13 +364,36 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(field, data, a.cols * b.cols)
 
 
+def block_matrix(grid: Sequence[Sequence[Matrix]]) -> Matrix:
+    """The matrix laid out from a non-empty rectangular grid of blocks.
+
+    Blocks in one grid row share their row count, blocks in one grid column
+    their column count, and all blocks one field; empty blocks are fine.
+    """
+    if not grid or not grid[0] or any(len(band) != len(grid[0]) for band in grid):
+        raise ValueError("block grid must be a non-empty rectangle")
+    first = grid[0][0]
+    widths = [block.cols for block in grid[0]]
+    data = []
+    for band in grid:
+        height = band[0].rows
+        for block, width in zip(band, widths):
+            first._check(block, same_shape=False)
+            if block.rows != height or block.cols != width:
+                raise ValueError(f"block is {block.rows}x{block.cols}, "
+                                 f"its place wants {height}x{width}")
+        for r in range(height):
+            row = []
+            for block in band:
+                row += block.data[r]
+            data.append(row)
+    return Matrix(first.field, data, sum(widths))
+
+
 def direct_sum(a: Matrix, b: Matrix) -> Matrix:
     """Block diagonal stacking; tolerates empty summands."""
-    a._check(b, same_shape=False)
-    z = a.field.zero
-    data = [row + [z] * b.cols for row in a.data]
-    data += [[z] * a.cols + row for row in b.data]
-    return Matrix(a.field, data, a.cols + b.cols)
+    return block_matrix([[a, Matrix.zeros(a.rows, b.cols, a.field)],
+                         [Matrix.zeros(b.rows, a.cols, a.field), b]])
 
 
 def tau_embed(i: int, a: Matrix, dims: Sequence[int]) -> Matrix:
@@ -396,37 +476,27 @@ def permute_kron_factors(m: Matrix, pi: Sequence[int], dims: Sequence[int]) -> M
 # -- elimination -------------------------------------------------------------
 
 
-def _scaled_int_rows(a: Matrix, b: Matrix | None) -> tuple[list[list[int]], list[int]]:
-    # Row-scale [A | B] to integers; also return each row's multiplier.  Row
-    # scaling preserves the solution set of A x = B, so back substitution on
-    # the scaled system is exact.
-    rows, dens = [], []
-    for i in range(a.rows):
-        den, row = _over_common_den(a.data[i] + b.data[i] if b is not None else a.data[i])
-        rows.append(row)
-        dens.append(den)
-    return rows, dens
+def _bareiss_forward(rows: list[list[int]], n: int) -> int:
+    """Fraction-free elimination of the left n-by-n block to upper
+    triangular form, in place.
 
-
-def _bareiss_forward(rows: list[list[int]], n: int, width: int) -> int | None:
-    """Fraction-free elimination to upper triangular form, in place.
-
-    Returns the sign from row swaps, or None if the left n-by-n block is
-    singular.  Every row below the pivot is rescaled each step (also when its
-    pivot-column entry is zero); the theory needs that for later divisions
-    to stay exact.
+    Returns the determinant of that block (the last pivot, signed by the
+    row swaps), or 0 if it is singular.  Every row below the pivot is
+    rescaled each step (also when its pivot-column entry is zero); the
+    theory needs that for later divisions to stay exact.
     """
     sign = 1
     prev = 1
     for k in range(n):
         piv = next((r for r in range(k, n) if rows[r][k] != 0), None)
         if piv is None:
-            return None
+            return 0
         if piv != k:
             rows[k], rows[piv] = rows[piv], rows[k]
             sign = -sign
         rk = rows[k]
         pk = rk[k]
+        width = len(rk)
         for i in range(k + 1, n):
             ri = rows[i]
             rik = ri[k]
@@ -434,16 +504,19 @@ def _bareiss_forward(rows: list[list[int]], n: int, width: int) -> int | None:
                 ri[j] = (pk * ri[j] - rik * rk[j]) // prev
             ri[k] = 0
         prev = pk
-    return sign
+    return sign * prev
 
 
-def _back_substitute(rows: list[list[int]], n: int) -> list[list[Fraction]]:
+def _back_substitute(rows: list[list[int]], n: int, d: int) -> list[list[Fraction]]:
     """Solution of the eliminated system, fraction-free.
 
-    With d the last pivot, y = d * x is integral, so every division below is
-    exact; only the returned entries y / d are Fractions.
+    With d the determinant of the eliminated block, y = d * x is integral,
+    so every division below is exact; only the returned entries y / d are
+    Fractions.  With no right-hand columns (a determinant) there is nothing
+    to substitute.
     """
-    d = rows[n - 1][n - 1]
+    if not n or len(rows[0]) == n:
+        return [[] for _ in rows]
     ys: list[list[int]] = [[]] * n
     for i in reversed(range(n)):
         ri = rows[i]
@@ -457,45 +530,11 @@ def _back_substitute(rows: list[list[int]], n: int) -> list[list[Fraction]]:
     return [[Fraction(y, d) for y in yrow] for yrow in ys]
 
 
-def _gfp_solve(a: Matrix, b: Matrix, want_det: bool):
-    p = a.field.p
-    n = a.rows
-    rows = [list(a.data[i]) + list(b.data[i]) for i in range(n)]
-    width = n + b.cols
-    det_acc = 1 % p
-    for k in range(n):
-        piv = next((r for r in range(k, n) if rows[r][k] % p != 0), None)
-        if piv is None:
-            return None, 0
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            det_acc = -det_acc % p
-        inv_p = pow(rows[k][k], -1, p)
-        det_acc = det_acc * rows[k][k] % p
-        rows[k] = [x * inv_p % p for x in rows[k]]
-        for i in range(n):
-            if i != k and rows[i][k]:
-                f = rows[i][k]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[k])]
-    sol = Matrix(a.field, [row[n:] for row in rows], b.cols)
-    return sol, det_acc if want_det else None
-
-
 def det(a: Matrix):
     """Exact determinant; empty matrices have determinant one."""
     if not a.is_square():
         raise ValueError("determinant of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return a.field.one
-    if isinstance(a.field, PrimeField):
-        res = _gfp_solve(a, Matrix.zeros(n, 0, a.field), want_det=True)
-        return res[1] if res[0] is not None else 0
-    rows, dens = _scaled_int_rows(a, None)
-    sign = _bareiss_forward(rows, n, n)
-    if sign is None:
-        return _F0
-    return Fraction(sign * rows[n - 1][n - 1], prod(dens))
+    return a.field.solve_det(a.data, [[]] * a.rows)[1]
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix | None:
@@ -506,37 +545,13 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
         raise ValueError("right-hand side has wrong number of rows")
     if a.field != b.field:
         raise ValueError(f"field mismatch: {a.field} vs {b.field}")
-    n = a.rows
-    if n == 0:
-        return Matrix.zeros(0, b.cols, a.field)
-    if isinstance(a.field, PrimeField):
-        return _gfp_solve(a, b, want_det=False)[0]
-    rows, _ = _scaled_int_rows(a, b)
-    if _bareiss_forward(rows, n, n + b.cols) is None:
-        return None
-    return Matrix(a.field, _back_substitute(rows, n), b.cols)
+    x, _ = a.field.solve_det(a.data, b.data)
+    return None if x is None else Matrix(a.field, x, b.cols)
 
 
 def inv_det(a: Matrix):
     """(A^{-1}, det A) for invertible A, or None when A is singular."""
     if not a.is_square():
         raise ValueError("inverse of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return Matrix.zeros(0, 0, a.field), a.field.one
-    if isinstance(a.field, PrimeField):
-        inv, d = _gfp_solve(a, Matrix.identity(n, a.field), want_det=True)
-        return None if inv is None else (inv, d)
-    # One elimination pass over [A | I]: back substitution gives the inverse,
-    # the pivot chain gives the determinant of the row-scaled copy.
-    rows, dens = _scaled_int_rows(a, None)
-    for i, den in enumerate(dens):
-        rows[i].extend(den if j == i else 0 for j in range(n))
-    sign = _bareiss_forward(rows, n, 2 * n)
-    if sign is None:
-        return None
-    # rows hold D @ A with D the diagonal of row multipliers; the identity
-    # block was pre-multiplied by D as well, so solutions are A^{-1} exactly.
-    inv = Matrix(a.field, _back_substitute(rows, n), n)
-    d = Fraction(sign * rows[n - 1][n - 1], prod(dens))
-    return inv, d
+    x, d = a.field.solve_det(a.data, None)
+    return None if x is None else (Matrix(a.field, x, a.rows), d)

@@ -37,7 +37,7 @@ from .expression import (
     validate_vars,
 )
 from .identity import NonzeroWitness, TestConfig, _points, is_zero
-from .matrix_kernel import Matrix, det
+from .matrix_kernel import Matrix, block_matrix, det
 
 
 @dataclass(frozen=True)
@@ -79,16 +79,7 @@ def matrix_mp_evaluate(m: ExprMatrix, a: MpPoint) -> Matrix | Undefined:
                 return val
             out_row.append(val)
         blocks.append(out_row)
-    n = blocks[0][0].rows
-    field = blocks[0][0].field
-    data = []
-    for out_row in blocks:
-        band: list[list] = [[] for _ in range(n)]
-        for block in out_row:
-            for rr in range(n):
-                band[rr].extend(block.data[rr])
-        data.extend(band)
-    return Matrix(field, data, m.d * n)
+    return block_matrix(blocks)
 
 
 @dataclass(frozen=True)

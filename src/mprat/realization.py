@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .evaluation import Evaluator, NcPoint, Undefined
 from .expression import Alphabet, Const, Expr, Inverse, Product, Sum, Var, fold
-from .matrix_kernel import Matrix, det, inv_det, kron, scalar_matrix, solve
+from .matrix_kernel import Matrix, block_matrix, det, inv_det, kron, scalar_matrix, solve
 
 Blocks = dict[tuple[int, int], Matrix]
 
@@ -247,21 +247,18 @@ def _amplified_pencil(r: Realization, a: Sequence[Matrix]) -> Matrix:
             for l, right in rows[u]:
                 contrib = left @ right
                 grid[k][l] = contrib if grid[k][l] is None else grid[k][l] + contrib
+    if n == 0:
+        return Matrix.zeros(0, 0, field)
     eye_size = Matrix.identity(size, field)
     zero_size = Matrix.zeros(size, size, field)
-    data: list[list] = []
     for k in range(n):
-        band: list[list] = [[] for _ in range(size)]
         for l in range(n):
             hit = grid[k][l]
             if k == l:
-                block = eye_size if hit is None else eye_size - hit
+                grid[k][l] = eye_size if hit is None else eye_size - hit
             else:
-                block = zero_size if hit is None else -hit
-            for rr in range(size):
-                band[rr].extend(block.data[rr])
-        data.extend(band)
-    return Matrix(field, data, n * size)
+                grid[k][l] = zero_size if hit is None else -hit
+    return block_matrix(grid)
 
 
 def real_evaluate(r: Realization, a: Sequence[Matrix]) -> Matrix | PencilSingular:
@@ -273,10 +270,7 @@ def real_evaluate(r: Realization, a: Sequence[Matrix]) -> Matrix | PencilSingula
     if r.dim == 0:
         return Matrix.zeros(size, size, field)
     eye_s = Matrix.identity(s, field)
-    rhs = Matrix(field,
-                 [row for bk in r.b for row in kron(eye_s, bk).data],
-                 size)
-    x = solve(lam, rhs)
+    x = solve(lam, block_matrix([[kron(eye_s, bk)] for bk in r.b]))
     if x is None:
         return PencilSingular()
     out = Matrix.zeros(size, size, field)

@@ -238,6 +238,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                                          "b_inner": [["1"]], "b_outer": [["1"]]})
         assert main(["bf-eval", "--g", "1", "--expr", e, "--point", point]) == 2
         assert capsys.readouterr().out == ""
+    point = wj(tmp_path, "bf0.json", {"n": 1, "a_outer": [], "a_inner": [],
+                                      "b_inner": [], "b_outer": []})
+    assert main(["bf-eval", "--g", "0", "--expr", e, "--point", point]) == 2
+    assert capsys.readouterr() == ("", "error: --g must be at least 1 (got 0)\n")
 
 
 def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):

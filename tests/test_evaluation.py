@@ -32,7 +32,7 @@ from mprat.evaluation import (
     tau_point,
     tau_point_of_nc,
 )
-from mprat.expression import Alphabet, Const, Inverse, parse
+from mprat.expression import Alphabet, Const, Inverse, Product, Var, parse
 from mprat.matrix_kernel import (
     QQ,
     Matrix,
@@ -331,6 +331,17 @@ def test_bf_same_index_does_not_commute():
             found = True
             break
     assert found
+
+
+def test_bf_rejects_letters_outside_its_alphabet():
+    rng = random.Random("bf-bad-letter")
+    p = rand_bf_point(rng, 2, 1)
+    with pytest.raises(ValueError, match="part 1 has 2 letters"):
+        bf_evaluate(Var(1, 3), p)
+    with pytest.raises(ValueError, match="alphabet has 2 parts"):
+        bf_evaluate(Product((Inverse(Const(Fraction(0))), Var(3, 1))), p)
+    with pytest.raises(ValueError, match="part 2 has no primed letters"):
+        bf_evaluate(Var(2, 1, primed=True), p)
 
 
 def test_bf_result_size():

@@ -10,6 +10,7 @@ from mprat.matrix_kernel import (
     QQ,
     Matrix,
     PrimeField,
+    block_matrix,
     commutation_matrix,
     det,
     direct_sum,
@@ -146,6 +147,48 @@ def test_direct_sum():
     assert direct_sum(a, b) == Matrix.of(QQ, [[1, 2, 0], [0, 0, 3], [0, 0, 4]])
     assert direct_sum(a, Matrix.zeros(0, 0)) == a
     assert direct_sum(Matrix.zeros(0, 0), b) == b
+
+
+def l_blocks(grid):
+    # entry (i, j) looked up through the offsets of the block that holds it
+    rows = [(bi, r) for bi, band in enumerate(grid) for r in range(band[0].rows)]
+    cols = [(bj, c) for bj, block in enumerate(grid[0]) for c in range(block.cols)]
+    return [[grid[bi][bj].entry(r, c) for bj, c in cols] for bi, r in rows], len(cols)
+
+
+def test_block_matrix_matches_list_reference():
+    rng = random.Random("blocks")
+    gf = PrimeField(97)
+
+    def block(h, w, field=QQ):
+        return Matrix.of(field, [[rng.randint(-9, 9) for _ in range(w)] for _ in range(h)], w)
+
+    grids = [[[block(2, 3)]],
+             [[block(h, w) for w in (1, 0, 3)] for h in (2, 0, 1)],
+             [[block(0, 2), block(0, 3)]],
+             [[block(2, 0)], [block(1, 0)]],
+             [[block(1, 2, gf), block(1, 1, gf)], [block(2, 2, gf), block(2, 1, gf)]]]
+    for grid in grids:
+        field = grid[0][0].field
+        data, cols = l_blocks(grid)
+        out = block_matrix(grid)
+        assert out.field == field
+        assert out == Matrix(field, data, cols)
+    a = grids[0][0][0]
+    assert block_matrix([[a]]) == a
+
+
+def test_block_matrix_rejects_bad_grids():
+    a = Matrix.of(QQ, [[1, 2, 3], [4, 5, 6]])
+    bad = [[],
+           [[]],
+           [[a, Matrix.zeros(1, 1)]],           # rows do not fit the band
+           [[a], [Matrix.zeros(1, 2)]],         # columns do not fit the column
+           [[a, a], [a]],                       # ragged grid
+           [[a, Matrix.zeros(2, 1, PrimeField(97))]]]
+    for grid in bad:
+        with pytest.raises(ValueError):
+            block_matrix(grid)
 
 
 def test_tau_embed_is_homomorphism():
@@ -385,6 +428,25 @@ def test_prime_field_matches_rationals():
             if res_q is not None and gf.of(dq) != 0:
                 assert res_p is not None
                 assert res_p[0] @ ap == Matrix.identity(n, gf)
+            b = rand_int_matrix(rng, n, 2, bound=20)
+            bp = Matrix.of(gf, b.data)
+            xp = solve(ap, bp)
+            if gf.of(dq) != 0:
+                # the rational solution's denominators divide det, a unit mod p
+                assert xp == Matrix.of(gf, solve(a, b).data)
+                assert ap @ xp == bp
+            else:
+                assert xp is None
+    singular = [[1, 2, 3], [2, 4, 6], [0, 1, 5]]
+    for field in (QQ, gf):
+        s = Matrix.of(field, singular)
+        assert det(s) == field.zero
+        assert inv_det(s) is None
+        assert solve(s, Matrix.identity(3, field)) is None
+        empty = Matrix.zeros(0, 0, field)
+        assert det(empty) == field.one
+        assert inv_det(empty) == (empty, field.one)
+        assert solve(empty, Matrix.zeros(0, 3, field)) == Matrix.zeros(0, 3, field)
 
 
 def test_prime_field_singularity_is_mod_p():
@@ -392,6 +454,11 @@ def test_prime_field_singularity_is_mod_p():
     a = Matrix.of(gf, [[97, 0], [0, 1]])
     assert det(a) == 0
     assert inv_det(a) is None
+    # the raw constructor keeps a non-canonical residue; its pivot is still 0
+    raw = Matrix(gf, [[97, 1], [0, 1]])
+    assert det(raw) == 0
+    assert inv_det(raw) is None
+    assert solve(raw, Matrix.identity(2, gf)) is None
 
 
 def test_default_modulus_is_large_prime():
