@@ -16,6 +16,14 @@ An inverse of a singular matrix does not raise; evaluation returns an
 ``Undefined`` record naming the offending Inverse node and its path from
 the root, and the failure propagates outward.  Within one call, shared
 subtrees are evaluated once.
+
+Constants are applied as scalars.  The ``Const`` children of a ``Product``
+fold into one field element c that scales the product of the other factors
+once (not at all when c = 1); those of a ``Sum`` fold into one c added on
+the diagonal of the sum of the other terms (not at all when c = 0); a node
+whose children are all constants is c * I.  A ``Const`` node itself is
+still memoized as its c * I, which is its value at the root or under an
+``Inverse``.
 """
 
 from __future__ import annotations
@@ -168,6 +176,8 @@ class Evaluator:
         self.lookup = {(v.part, v.index, v.primed): m
                        for v, m in zip(point.alphabet.letters(), point.mats)}
         self.memo: dict[int, tuple[Expr, Matrix | None]] = {}
+        # id(node) -> field value of a memoized Const, converted once
+        self.scalars: dict[int, object] = {}
 
     def run(self, e: Expr) -> Matrix | Undefined:
         """Value of e, or the Undefined of the first singular inverse in walk
@@ -185,18 +195,39 @@ class Evaluator:
     def _value(self, node: Expr) -> Matrix | None:
         # from the memoized values of the node's children
         memo = self.memo
+        field = self.field
         if isinstance(node, Const):
-            return scalar_matrix(self.n, self.field.of(node.value), self.field)
+            c = self.scalars[id(node)] = field.of(node.value)
+            return scalar_matrix(self.n, c, field)
         if isinstance(node, Var):
             return self.lookup[(node.part, node.index, node.primed)]
         if isinstance(node, Sum):
-            return reduce(add, [memo[id(t)][1] for t in node.terms])
+            return self._combine(node.terms, add, field.add, 0, Matrix.add_scalar)
         if isinstance(node, Product):
-            return reduce(matmul, [memo[id(f)][1] for f in node.factors])
+            return self._combine(node.factors, matmul, field.mul, 1, Matrix.scale)
         if isinstance(node, Inverse):
             pair = inv_det(memo[id(node.arg)][1])
             return None if pair is None else pair[0]
         raise TypeError(f"not an expression node: {type(node).__name__}")
+
+    def _combine(self, kids, op, scalar_op, unit, apply) -> Matrix:
+        """The kids' values joined by op, with the Const kids folded by
+        scalar_op into one scalar that apply puts on the rest once.
+
+        ``unit`` is the int 0 or 1: every field's zero and one equal them,
+        and a ``Fraction`` compares with an int faster than with another
+        ``Fraction``.
+        """
+        memo = self.memo
+        mats = [memo[id(k)][1] for k in kids if not isinstance(k, Const)]
+        if len(mats) == len(kids):
+            return reduce(op, mats)
+        scalars = self.scalars
+        c = reduce(scalar_op, [scalars[id(k)] for k in kids if isinstance(k, Const)])
+        if not mats:
+            return scalar_matrix(self.n, c, self.field)
+        m = reduce(op, mats)
+        return m if c == unit else apply(m, c)
 
 
 def nc_evaluate(e: Expr, point: NcPoint) -> Matrix | Undefined:

@@ -32,6 +32,11 @@ only for the entries it returns, so a matrix's ``data`` is always canonical
 
 Over ``PrimeField`` every operation reduces modulo p as it goes, and
 ``solve_det`` is Gauss-Jordan elimination with modular pivot inverses.
+
+Structured operands are placed rather than multiplied: ``tau_embed`` copies
+the entries of a slot matrix into the positions of I (x) A (x) I, and a
+scalar c * I enters a product as ``Matrix.scale`` and a sum as
+``Matrix.add_scalar``, so neither is ever a dense operand of ``matmul``.
 """
 
 from __future__ import annotations
@@ -311,6 +316,16 @@ class Matrix:
         mul = self.field.mul
         return Matrix(self.field, [[mul(c, x) for x in row] for row in self.data], self.cols)
 
+    def add_scalar(self, c) -> "Matrix":
+        """self + c * I for a square matrix and a field element c."""
+        if not self.is_square():
+            raise ValueError(f"cannot add a scalar to a {self.rows}x{self.cols} matrix")
+        add = self.field.add
+        data = [list(row) for row in self.data]
+        for i, row in enumerate(data):
+            row[i] = add(row[i], c)
+        return Matrix(self.field, data, self.cols)
+
     def transpose(self) -> "Matrix":
         if not self.data:
             return Matrix(self.field, [[] for _ in range(self.cols)], 0)
@@ -343,7 +358,10 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; block (i,j) of the result is a[i][j] * b.
 
     Zero and one entries of ``a`` copy a zero segment or the row of ``b``
-    instead of multiplying, so identity factors cost no arithmetic.
+    instead of multiplying, so a left identity factor costs no arithmetic.
+    That serves the amplifications I_s (x) X of realizations and the block
+    point of the calculus; slot embeddings use :func:`tau_embed`, which
+    places entries without testing them.
     """
     a._check(b, same_shape=False)
     field = a.field
@@ -400,20 +418,29 @@ def tau_embed(i: int, a: Matrix, dims: Sequence[int]) -> Matrix:
     """Embed ``a`` into the i-th tensor slot (1-based) of a Kronecker product.
 
     Returns I_{n_1} (x) ... (x) a (x) ... (x) I_{n_G} for the slot sizes in
-    ``dims``; ``a`` must be square of size ``dims[i-1]``.
+    ``dims``; ``a`` must be square of size ``dims[i-1]``.  The image only
+    places entries: with pre and post the sizes before and after the slot,
+    row (p, r, q) holds row r of ``a`` at the columns (p, c, q), stride
+    post apart, so each row is one slice assignment into a copy of a shared
+    zero row and no field arithmetic is done.
     """
     if not 1 <= i <= len(dims):
         raise ValueError(f"slot {i} out of range for {len(dims)} slots")
     if not a.is_square() or a.rows != dims[i - 1]:
         raise ValueError(f"matrix is {a.rows}x{a.cols}, slot {i} wants size {dims[i - 1]}")
+    n = a.rows
     pre = prod(dims[: i - 1])
     post = prod(dims[i:])
-    out = a
-    if pre > 1:
-        out = kron(Matrix.identity(pre, a.field), out)
-    if post > 1:
-        out = kron(out, Matrix.identity(post, a.field))
-    return out
+    width = n * post
+    zeros = [a.field.zero] * (pre * width)
+    data = []
+    for p in range(pre):
+        for arow in a.data:
+            for start in range(p * width, p * width + post):
+                row = zeros[:]
+                row[start:start + width:post] = arow
+                data.append(row)
+    return Matrix(a.field, data, pre * width)
 
 
 def _check_permutation(pi: Sequence[int], g: int) -> None:

@@ -283,9 +283,11 @@ def real_evaluate(r: Realization, a: Sequence[Matrix]) -> Matrix | PencilSingula
 
 
 def real_domain_contains(r: Realization, a: Sequence[Matrix]) -> bool:
-    """Exact determinant test of the amplified pencil at a."""
-    if r.dim == 0:
-        return True
+    """Exact determinant test of the amplified pencil at a.
+
+    A dim-0 pencil is the empty matrix, whose determinant is one, so the
+    point is still checked and then always lies in the domain.
+    """
     return det(_amplified_pencil(r, a)) != 0
 
 

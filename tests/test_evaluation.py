@@ -32,7 +32,7 @@ from mprat.evaluation import (
     tau_point,
     tau_point_of_nc,
 )
-from mprat.expression import Alphabet, Const, Inverse, Product, Var, parse
+from mprat.expression import Alphabet, Const, Inverse, Product, Sum, Var, parse
 from mprat.matrix_kernel import (
     QQ,
     Matrix,
@@ -370,3 +370,63 @@ def test_rational_value_reduces_to_the_prime_field_value(text):
         assert got == Matrix.of(gf, want.data)
         defined += 1
     assert defined
+
+
+# -- constants applied as scalars ---------------------------------------------------
+
+
+X, Y = Var(1, 1), Var(2, 1)
+SHARED = Const(F(3))
+
+
+def c(v):
+    return Const(F(v))
+
+
+SCALAR_CASES = {
+    "constants multiply to one": Product((c(2), X, c(F(1, 2)))),
+    "zero times a letter": Product((c(0), X)),
+    "constants cancel in a sum": Sum((c(1), X, c(-1))),
+    "sum of constants": Sum((c(2), c(F(-1, 3)))),
+    "product of constants": Product((c(-2), c(F(1, 3)))),
+    "constant root": c(F(5, 2)),
+    "constant under an inverse": Product((Inverse(c(4)), Y)),
+    "shared constant": Sum((Product((SHARED, X, Y)), SHARED, Product((Y, SHARED)))),
+    "scalars around a product": Sum((c(2), Product((c(3), X, Y, c(-1))), c(F(1, 2)))),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(97)], ids=["QQ", "GF97"])
+@pytest.mark.parametrize("dims", [(2, 2), (1, 3), (0, 2)])
+@pytest.mark.parametrize("name", list(SCALAR_CASES))
+def test_scalar_folding_matches_the_naive_evaluator(name, dims, field):
+    e = SCALAR_CASES[name]
+    point = rand_mp_point(random.Random(f"fold {name} {dims}"), AB11, dims, bound=6)
+    want = naive_mp_eval(e, point)
+    in_field = MpPoint(AB11, tuple(tuple(Matrix.of(field, m.data) for m in mats)
+                                   for mats in point.parts))
+    got = assert_defined(mp_evaluate(e, in_field))
+    assert got == Matrix.of(field, want, got.cols)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(97)], ids=["QQ", "GF97"])
+def test_inverse_of_cancelling_constants_is_undefined_at_the_root(field):
+    e = Inverse(Sum((c(1), c(-1))))
+    point = MpPoint(AB11, ((Matrix.identity(2, field),), (Matrix.identity(3, field),)))
+    v = mp_evaluate(e, point)
+    assert isinstance(v, Undefined)
+    assert v.subexpr is e and v.path == ()
+    # at a 0x0 point every matrix is invertible, this one included
+    empty = MpPoint(AB11, ((Matrix.zeros(0, 0, field),), (Matrix.identity(2, field),)))
+    assert mp_evaluate(e, empty) == Matrix.zeros(0, 0, field)
+
+
+def test_constant_values_stay_scalar_matrices_in_the_memo():
+    a = rand_invertible(random.Random("memo-const"), 2)
+    ev = Evaluator(NcPoint(Alphabet((1,)), (a,)))
+    e = Sum((c(3), Product((c(2), Var(1, 1)))))
+    assert ev.run(e) == a.scale(F(2)).add_scalar(F(3))
+    consts = [node for node, _ in ev.memo.values() if isinstance(node, Const)]
+    assert len(consts) == 2
+    for node in consts:
+        assert ev.memo[id(node)][1] == scalar_matrix(2, node.value)

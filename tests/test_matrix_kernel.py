@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from helpers import l_inv, l_kron, l_mul, laplace_det
+from helpers import l_eye, l_inv, l_kron, l_mul, laplace_det
 from mprat.matrix_kernel import (
     QQ,
     Matrix,
@@ -90,6 +91,14 @@ def test_submatrix_and_scalar():
     a = Matrix.of(QQ, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     assert a.submatrix(0, 2, 1, 3) == Matrix.of(QQ, [[2, 3], [5, 6]])
     assert scalar_matrix(3, F(1, 2)) == Matrix.identity(3).scale(F(1, 2))
+    assert a.add_scalar(F(1, 2)) == a + scalar_matrix(3, F(1, 2))
+    assert a.add_scalar(0) == a
+    assert Matrix.zeros(0, 0).add_scalar(F(3)) == Matrix.zeros(0, 0)
+    gf = PrimeField(97)
+    ag = Matrix.of(gf, a.data)
+    assert ag.add_scalar(gf.of(-1)) == ag + scalar_matrix(3, -1, gf)
+    with pytest.raises(ValueError):
+        a.submatrix(0, 2, 0, 3).add_scalar(1)
 
 
 def test_empty_shapes():
@@ -212,6 +221,26 @@ def test_tau_embed_cross_slot_commutation():
             b = rand_matrix(rng, dims[j - 1], dims[j - 1])
             assert (tau_embed(i, a, dims) @ tau_embed(j, b, dims)
                     == tau_embed(j, b, dims) @ tau_embed(i, a, dims))
+
+
+# generic entries: zero, one, negatives and fractions, all units mod 97 or 0
+GENERIC = [F(0), F(1), F(-1), F(-7, 3), F(5, 2), F(2), F(1, 9), F(-4), F(11, 6)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(97)], ids=["QQ", "GF97"])
+@pytest.mark.parametrize("dims", [(1,), (3,), (2, 3), (3, 1, 2), (2, 2, 2), (2, 0, 3)])
+def test_tau_embed_matches_kron_with_identities(dims, field):
+    for slot in range(1, len(dims) + 1):
+        n = dims[slot - 1]
+        pre, post = prod(dims[: slot - 1]), prod(dims[slot:])
+        a = [[GENERIC[(7 * r + 4 * c + slot) % len(GENERIC)] for c in range(n)]
+             for r in range(n)]
+        want = Matrix.of(field, l_kron(l_kron(l_eye(pre), a), l_eye(post)), prod(dims))
+        got = tau_embed(slot, Matrix.of(field, a, n), dims)
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+        assert got.data == want.data
+        if field == QQ:
+            assert all_fractions(got)
 
 
 def test_tau_embed_validates():
@@ -393,7 +422,7 @@ def test_qq_results_are_fractions():
     inv, d = inv_det(a)
     results = [a @ b, a @ a, solve(a, b), inv, kron(a, b), kron(b, a),
                tau_embed(2, a, (2, 2, 3)), scalar_matrix(3, 2), scalar_matrix(2, 0),
-               Matrix.identity(2), direct_sum(a, b)]
+               Matrix.identity(2), direct_sum(a, b), a.add_scalar(2), a.add_scalar(F(1, 2))]
     assert all(all_fractions(m) for m in results)
     assert type(d) is Fraction and type(det(a)) is Fraction
     assert type(det(Matrix.zeros(0, 0))) is Fraction

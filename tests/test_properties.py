@@ -12,7 +12,16 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import settings, strategies as st  # noqa: E402
 
-from helpers import l_inv, l_mul, laplace_det, naive_mp_eval, rand_mp_point, unshare  # noqa: E402
+from helpers import (  # noqa: E402
+    l_inv,
+    l_mul,
+    laplace_det,
+    naive_mp_eval,
+    naive_nc_eval,
+    rand_matrix,
+    rand_mp_point,
+    unshare,
+)
 from mprat.evaluation import Undefined, mp_evaluate  # noqa: E402
 from mprat.expression import (  # noqa: E402
     Alphabet,
@@ -25,6 +34,7 @@ from mprat.expression import (  # noqa: E402
     parse,
 )
 from mprat.matrix_kernel import QQ, Matrix, det, inv_det, solve  # noqa: E402
+from mprat.realization import real_evaluate, real_reduce, realize  # noqa: E402
 
 AB = Alphabet((2, 2))
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -74,6 +84,28 @@ def test_mp_evaluate_matches_the_naive_evaluator(e, seed, dims):
     else:
         assert not isinstance(got, Undefined)
         assert got.data == want
+
+
+def _assign(mats):
+    return {(v.part, v.index, v.primed): m.data for v, m in zip(AB.letters(), mats)}
+
+
+@SETTINGS
+@hypothesis.given(exprs, st.integers(0, 2 ** 32), st.sampled_from([(1, 1), (1, 2), (2, 1)]))
+def test_reduced_realization_matches_the_naive_evaluator(e, seed, sizes):
+    # base size m, point size s * m; bases where e is undefined are skipped
+    m, s = sizes
+    rng = random.Random(seed)
+    base = next((b for b in (tuple(rand_matrix(rng, m, 3) for _ in AB.letters())
+                             for _ in range(4))
+                 if naive_nc_eval(e, _assign(b), m) is not None), None)
+    if base is None:
+        return
+    r = real_reduce(realize(e, AB, base))
+    a = tuple(rand_matrix(rng, s * m, 3) for _ in AB.letters())
+    want = naive_nc_eval(e, _assign(a), s * m)
+    if want is not None:
+        assert real_evaluate(r, a).data == want
 
 
 # zeros and small integers (zero pivots, integral lines) mixed with large

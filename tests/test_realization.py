@@ -8,7 +8,7 @@ import pytest
 from helpers import CORPUS_ALPHABET, corpus, rand_invertible, rand_matrix
 from mprat.evaluation import MpPoint, NcPoint, nc_evaluate, mp_evaluate, tau_point
 from mprat.expression import Alphabet, Const, parse
-from mprat.matrix_kernel import Matrix, inv_det, scalar_matrix
+from mprat.matrix_kernel import QQ, Matrix, inv_det, scalar_matrix
 from mprat.realization import (
     BasePointOutsideDomain,
     PencilSingular,
@@ -166,6 +166,18 @@ def test_reduce_zero_constant_to_dim_zero():
     assert r.dim == 0
     assert real_evaluate(r, p) == Matrix.zeros(2, 2)
     assert real_domain_contains(r, p)
+
+
+def test_dim_zero_realization_still_checks_the_point():
+    base = (Matrix.of(QQ, [[2]]), Matrix.of(QQ, [[3]]))
+    r = real_reduce(realize(Const(F(0)), AB1, base))
+    assert r.dim == 0
+    mismatched = [Matrix.of(QQ, [[1]]), Matrix.identity(2)]
+    with pytest.raises(ValueError):
+        real_evaluate(r, mismatched)
+    with pytest.raises(ValueError):
+        real_domain_contains(r, mismatched)
+    assert real_domain_contains(r, [Matrix.of(QQ, [[1]]), Matrix.of(QQ, [[5]])])
 
 
 def test_reduce_strips_explicit_padding():
