@@ -44,7 +44,7 @@ from .expression import (
     validate_vars,
     walk,
 )
-from .matrix_kernel import Matrix, inv_det, scalar_matrix, tau_embed
+from .matrix_kernel import Matrix, inv_det, kron, scalar_matrix, tau_embed
 
 
 @dataclass(frozen=True)
@@ -181,14 +181,23 @@ class Evaluator:
 
     def run(self, e: Expr) -> Matrix | Undefined:
         """Value of e, or the Undefined of the first singular inverse in walk
-        order, which is the first one a left-to-right evaluation meets."""
-        validate_vars(e, self.point.alphabet)
+        order, which is the first one a left-to-right evaluation meets.
+
+        Letters are checked against the alphabet only when a lookup misses
+        and before an Undefined is returned, so a letter outside the
+        alphabet raises ``validate_vars``'s error wherever it sits in e.
+        """
         memo = self.memo
         for node in walk(e):
             hit = memo.get(id(node))
             if hit is None:
-                hit = memo[id(node)] = (node, self._value(node))
+                try:
+                    hit = memo[id(node)] = (node, self._value(node))
+                except KeyError:  # a letter missing from the point
+                    validate_vars(e, self.point.alphabet)
+                    raise
             if hit[1] is None:
+                validate_vars(e, self.point.alphabet)
                 return Undefined(node, _path_to(e, node))
         return memo[id(e)][1]
 
@@ -244,17 +253,17 @@ def bf_evaluate(e: Expr, p: BfPoint) -> Matrix | Undefined:
     """Evaluate an expression over two g-letter parts in the g+2 slot model.
 
     Part 1 letters are the X family, part 2 the Y family.  The result has
-    size n^(g+2).
+    size n^(g+2).  Each letter is the product of two embeddings in distinct
+    slots, one of them the first or the last, so it is placed as a Kronecker
+    product: X_i = A_outer (x) tau_{1+i}(A_inner) over the last g+1 slots,
+    and Y_i = tau_{2+i}(B_inner) (x) B_outer over the first g+1.
     """
     alphabet = Alphabet((p.g, p.g))
     dims = (p.n,) * (p.g + 2)
-    mats = []
-    for i in range(p.g):
-        mats.append(tau_embed(1, p.a_outer[i], dims)
-                    @ tau_embed(2 + i, p.a_inner[i], dims))
-    for i in range(p.g):
-        mats.append(tau_embed(2 + i, p.b_inner[i], dims)
-                    @ tau_embed(p.g + 2, p.b_outer[i], dims))
+    mats = [kron(p.a_outer[i], tau_embed(1 + i, p.a_inner[i], dims[1:]))
+            for i in range(p.g)]
+    mats += [kron(tau_embed(2 + i, p.b_inner[i], dims[:-1]), p.b_outer[i])
+             for i in range(p.g)]
     return nc_evaluate(e, NcPoint(alphabet, tuple(mats)))
 
 

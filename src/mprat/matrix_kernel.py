@@ -9,29 +9,24 @@ Field elements are plain values (``fractions.Fraction`` over the rationals,
 canonical ``int`` residues modulo p) and the field object supplies the
 operations.  Matrices refuse to combine operands over different fields.
 
-Each field owns its matrix product (``matmul``) and its one elimination,
-``solve_det(a_rows, b_rows) -> (x_rows | None, det)``, which solves
-``A X = B`` and returns det A on the way; ``det``, ``solve`` and ``inv_det``
-only check their arguments and dispatch to it.  How a matrix stores its
-rows is known to this module alone: block layouts are assembled by
-``block_matrix`` and read back through ``entry``/``submatrix``.
+A matrix stores integer rows ``num`` over one positive denominator ``den``
+in its field's canonical form (over QQ gcd(den, entries) = 1; over GF(p)
+residues in [0, p) over den 1), so ``==`` compares ``den`` and ``num``.
+Field values exist only at the boundary: the field's ``lift`` turns them
+into (num, den), its ``value`` turns entries back for ``data``, ``entry``
+and ``flat``.  Sums, products, scalings and Kronecker products compute on
+the integers and call the field's ``normalise`` once (a gcd pass over QQ,
+mod p over GF(p)); transposes and slot embeddings only move entries.
 
-Over the rationals the kernel computes on integers and makes ``Fraction``s
-only for the entries it returns, so a matrix's ``data`` is always canonical
-``Fraction``s while its inner loops pay no gcd per operation:
-
-* a product writes each row of A and each column of B as integers over the
-  lcm of that line's denominators, takes integer dot products and builds one
-  ``Fraction(dot, den_i * den_j)`` per output entry;
-* ``solve_det`` runs fraction-free Bareiss elimination on a row-scaled
-  integer copy of ``[A | B]``, which keeps intermediate entries to
-  minor-sized integers.  With ``d`` the signed last pivot (the determinant
-  of the scaled A), ``y = d * x`` is integral by Cramer's rule, so back
-  substitution ``y_i = (d * c_i - sum_{j>i} u_ij * y_j) // u_ii`` divides
-  exactly and each solution entry is one ``Fraction(y_i, d)``.
-
-Over ``PrimeField`` every operation reduces modulo p as it goes, and
-``solve_det`` is Gauss-Jordan elimination with modular pivot inverses.
+Each field owns its one elimination, ``solve_det(a, b) -> ((num, den) |
+None, det)``, which solves ``A X = B`` and returns det A on the way;
+``det``, ``solve`` and ``inv_det`` only check and dispatch.  Over QQ it is
+fraction-free Bareiss elimination on the stored integers ``[Na | Nb]`` of
+A = Na / Da and B = Nb / Db.  With dN = det Na (the signed last pivot),
+y = dN * Na^-1 Nb is integral by Cramer's rule, so back substitution
+``y_i = (dN * c_i - sum_{j>i} u_ij * y_j) // u_ii`` divides exactly; then
+X = Da * y / (dN * Db) and det A = dN / Da^n.  Over ``PrimeField`` it is
+Gauss-Jordan elimination with modular pivot inverses.
 
 Structured operands are placed rather than multiplied: ``tau_embed`` copies
 the entries of a slot matrix into the positions of I (x) A (x) I, and a
@@ -43,21 +38,12 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Sequence
 
 _mul = operator.mul
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-
-
-def _over_common_den(line) -> tuple[int, list[int]]:
-    """(d, ks) with line == [k / d for k in ks], d the lcm of the denominators."""
-    d = lcm(*(x.denominator for x in line))
-    if d == 1:
-        return 1, [x.numerator for x in line]
-    return d, [x.numerator * (d // x.denominator) for x in line]
-
 
 #: 2**61 - 1, a Mersenne prime large enough that random small-entry data
 #: essentially never collides with 0 mod p by accident.
@@ -87,38 +73,50 @@ class Rationals:
         return 1 / a
 
     @staticmethod
-    def matmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-        """Rows of a @ b for non-empty operands: integer dot products over each
-        line's common denominator, one normalisation per entry."""
-        b_cols = [_over_common_den(col) for col in zip(*b)]
-        out = []
-        for row in a:
-            da, xs = _over_common_den(row)
-            out.append([Fraction(sum(map(_mul, xs, ys)), da * db) for db, ys in b_cols])
-        return out
+    def lift(rows):
+        """Canonical (num, den) of rows of Fractions or ints: den is the lcm
+        of the denominators, so no gcd pass is needed."""
+        den = lcm(*{x.denominator for row in rows for x in row})
+        if den == 1:
+            return [[x.numerator for x in row] for row in rows], 1
+        return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
     @staticmethod
-    def solve_det(a_rows: list[list[Fraction]], b_rows: list[list[Fraction]] | None):
-        """(rows of X, det A) with A X = B, or (None, 0) when A is singular.
+    def normalise(num: list[list[int]], den: int):
+        """(num, den) over a positive den sharing no factor with all of num:
+        one gcd pass, which stops at the first row that brings it to 1."""
+        if den < 0:
+            num, den = [[-k for k in row] for row in num], -den
+        g = den
+        for row in num:
+            if g == 1:
+                return num, den
+            g = gcd(g, *row)
+        if g == 1:
+            return num, den
+        return [[k // g for k in row] for row in num], den // g
 
-        ``b_rows`` None stands for the identity, so X is A^{-1}.  Row
-        scaling [A | B] to integers keeps the solutions; each row's
-        multiplier divides the determinant back out.
-        """
-        n = len(a_rows)
-        rows, dens = [], []
-        for i, a_row in enumerate(a_rows):
-            if b_rows is None:
-                den, row = _over_common_den(a_row)
-                row.extend(den if j == i else 0 for j in range(n))
-            else:
-                den, row = _over_common_den(a_row + b_rows[i])
-            rows.append(row)
-            dens.append(den)
-        d = _bareiss_forward(rows, n)
-        if d == 0:
+    @staticmethod
+    def split(c):
+        """(p, q) with c == p / q in lowest terms and q > 0."""
+        return c.numerator, c.denominator
+
+    @staticmethod
+    def value(k: int, den: int) -> Fraction:
+        return Fraction(k) if den == 1 else Fraction(k, den)
+
+    def solve_det(self, a: "Matrix", b: "Matrix"):
+        """((num, den) of X, det A) with A X = B, or (None, 0) when A is
+        singular."""
+        n, da = a.rows, a.den
+        rows = [ra + rb for ra, rb in zip(a.num, b.num)]
+        dn = _bareiss_forward(rows, n)
+        if dn == 0:
             return None, _F0
-        return _back_substitute(rows, n, d), Fraction(d, prod(dens))
+        ys = _back_substitute(rows, n, dn)
+        if da != 1:
+            ys = [[da * y for y in row] for row in ys]
+        return self.normalise(ys, dn * b.den), Fraction(dn, da ** n)
 
     def __repr__(self) -> str:
         return "QQ"
@@ -169,27 +167,30 @@ class PrimeField:
             raise ZeroDivisionError(f"inverse of zero in {self.name}")
         return pow(a, -1, self.p)
 
-    def matmul(self, a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-        """Rows of a @ b for non-empty operands, each dot product reduced once."""
-        p = self.p
-        b_cols = list(zip(*b))
-        return [[sum(map(_mul, row, col)) % p for col in b_cols] for row in a]
+    def lift(self, rows):
+        return self.normalise(rows, 1)
 
-    def solve_det(self, a_rows: list[list[int]], b_rows: list[list[int]] | None):
-        """(rows of X, det A) with A X = B, or (None, 0) when A is singular;
-        ``b_rows`` None stands for the identity.  Gauss-Jordan elimination,
-        testing pivots mod p since raw-constructed rows may hold
-        non-canonical residues."""
+    def normalise(self, num: list[list[int]], den: int):
+        """Rows reduced mod p; every GF(p) matrix has den 1."""
         p = self.p
-        n = len(a_rows)
-        if b_rows is None:
-            rows = [list(r) + [1 if j == i else 0 for j in range(n)]
-                    for i, r in enumerate(a_rows)]
-        else:
-            rows = [list(r) + list(b) for r, b in zip(a_rows, b_rows)]
+        return [[k % p for k in row] for row in num], 1
+
+    def split(self, c):
+        return self.of(c), 1
+
+    @staticmethod
+    def value(k: int, den: int) -> int:
+        return k
+
+    def solve_det(self, a: "Matrix", b: "Matrix"):
+        """((num, 1) of X, det A) with A X = B, or (None, 0) when A is
+        singular.  Gauss-Jordan elimination."""
+        p = self.p
+        n = a.rows
+        rows = [r + rb for r, rb in zip(a.num, b.num)]
         det_acc = self.one
         for k in range(n):
-            piv = next((r for r in range(k, n) if rows[r][k] % p != 0), None)
+            piv = next((r for r in range(k, n) if rows[r][k]), None)
             if piv is None:
                 return None, 0
             if piv != k:
@@ -202,7 +203,7 @@ class PrimeField:
                 if i != k and rows[i][k]:
                     f = rows[i][k]
                     rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[k])]
-        return [row[n:] for row in rows], det_acc
+        return ([row[n:] for row in rows], 1), det_acc
 
     def __repr__(self) -> str:
         return self.name
@@ -215,18 +216,19 @@ class PrimeField:
 
 
 class Matrix:
-    """Dense matrix over a fixed field, stored as a list of row lists.
+    """Dense matrix over a fixed field: integer rows ``num`` over one
+    positive denominator ``den``, in the field's canonical form.
 
-    The raw constructor trusts its input; use :meth:`of` to coerce entries
-    through the field. Zero-row and zero-column shapes are legal (``cols``
+    The constructor takes rows of field values or ints; :meth:`of` coerces
+    other entries through the field.  ``data``, ``entry`` and ``flat`` give
+    field values back.  Zero-row and zero-column shapes are legal (``cols``
     must be passed explicitly when there are no rows to infer it from).
     """
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "num", "den")
 
-    def __init__(self, field, data: list, cols: int | None = None):
+    def __init__(self, field, data: Sequence[Sequence], cols: int | None = None):
         self.field = field
-        self.data = data
         self.rows = len(data)
         if data:
             self.cols = len(data[0])
@@ -235,19 +237,32 @@ class Matrix:
                     raise ValueError("ragged rows in matrix data")
         else:
             self.cols = 0 if cols is None else cols
+        self.num, self.den = field.lift(data)
 
     # -- construction -----------------------------------------------------
 
     @classmethod
+    def _raw(cls, field, num, den, cols) -> "Matrix":
+        """The matrix num / den, trusted to be canonical already."""
+        m = object.__new__(cls)
+        m.field, m.num, m.den, m.rows, m.cols = field, num, den, len(num), cols
+        return m
+
+    @classmethod
+    def _normal(cls, field, num, den, cols) -> "Matrix":
+        return cls._raw(field, *field.normalise(num, den), cols)
+
+    @classmethod
     def of(cls, field, data: Sequence[Sequence], cols: int | None = None) -> "Matrix":
-        return cls(field, [[field.of(x) for x in row] for row in data], cols)
+        """Entries coerced through the field; ints go to ``lift`` as they are."""
+        of = field.of
+        return cls(field, [[x if type(x) is int else of(x) for x in row] for row in data], cols)
 
     @classmethod
     def from_flat(cls, field, rows: int, cols: int, entries: Sequence) -> "Matrix":
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        it = iter(entries)
-        return cls(field, [[field.of(next(it)) for _ in range(cols)] for _ in range(rows)], cols)
+        return cls.of(field, [entries[r * cols:(r + 1) * cols] for r in range(rows)], cols)
 
     @classmethod
     def identity(cls, n: int, field=QQ) -> "Matrix":
@@ -255,13 +270,18 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int, field=QQ) -> "Matrix":
-        z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)], cols)
+        return cls._raw(field, [[0] * cols for _ in range(rows)], 1, cols)
 
     # -- access ------------------------------------------------------------
 
+    @property
+    def data(self) -> list:
+        """The rows as field values (canonical ``Fraction``s over QQ)."""
+        value, den = self.field.value, self.den
+        return [[value(k, den) for k in row] for row in self.num]
+
     def entry(self, i: int, j: int):
-        return self.data[i][j]
+        return self.field.value(self.num[i][j], self.den)
 
     def flat(self) -> list:
         return [x for row in self.data for x in row]
@@ -270,11 +290,11 @@ class Matrix:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for row in self.data for x in row)
+        return not any(map(any, self.num))
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
-        return Matrix(self.field, [row[c0:c1] for row in self.data[r0:r1]], c1 - c0)
+        return Matrix._normal(self.field, [row[c0:c1] for row in self.num[r0:r1]],
+                              self.den, c1 - c0)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -286,23 +306,28 @@ class Matrix:
         if same_shape and (self.rows != other.rows or self.cols != other.cols):
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, other: "Matrix", op) -> "Matrix":
+        # self op other over the lcm of the two denominators
         self._check(other, same_shape=True)
-        add = self.field.add
-        return Matrix(self.field,
-                      [list(map(add, ra, rb)) for ra, rb in zip(self.data, other.data)],
-                      self.cols)
+        da, db = self.den, other.den
+        if da == db:
+            den = da
+            num = [list(map(op, ra, rb)) for ra, rb in zip(self.num, other.num)]
+        else:
+            den = lcm(da, db)
+            fa, fb = den // da, den // db
+            num = [[op(fa * x, fb * y) for x, y in zip(ra, rb)]
+                   for ra, rb in zip(self.num, other.num)]
+        return Matrix._normal(self.field, num, den, self.cols)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check(other, same_shape=True)
-        sub = self.field.sub
-        return Matrix(self.field,
-                      [list(map(sub, ra, rb)) for ra, rb in zip(self.data, other.data)],
-                      self.cols)
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self) -> "Matrix":
-        neg = self.field.neg
-        return Matrix(self.field, [list(map(neg, row)) for row in self.data], self.cols)
+        return self.scale(-1)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check(other, same_shape=False)
@@ -310,31 +335,36 @@ class Matrix:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         if not (self.cols and other.cols):
             return Matrix.zeros(self.rows, other.cols, self.field)
-        return Matrix(self.field, self.field.matmul(self.data, other.data), other.cols)
+        cols = list(zip(*other.num))
+        num = [[sum(map(_mul, row, col)) for col in cols] for row in self.num]
+        return Matrix._normal(self.field, num, self.den * other.den, other.cols)
 
     def scale(self, c) -> "Matrix":
-        mul = self.field.mul
-        return Matrix(self.field, [[mul(c, x) for x in row] for row in self.data], self.cols)
+        p, q = self.field.split(c)
+        return Matrix._normal(self.field, [[p * k for k in row] for row in self.num],
+                              self.den * q, self.cols)
 
     def add_scalar(self, c) -> "Matrix":
         """self + c * I for a square matrix and a field element c."""
         if not self.is_square():
             raise ValueError(f"cannot add a scalar to a {self.rows}x{self.cols} matrix")
-        add = self.field.add
-        data = [list(row) for row in self.data]
-        for i, row in enumerate(data):
-            row[i] = add(row[i], c)
-        return Matrix(self.field, data, self.cols)
+        p, q = self.field.split(c)
+        den = lcm(self.den, q)
+        f, diag = den // self.den, p * (den // q)
+        num = [[f * k for k in row] for row in self.num]
+        for i, row in enumerate(num):
+            row[i] += diag
+        return Matrix._normal(self.field, num, den, self.cols)
 
     def transpose(self) -> "Matrix":
-        if not self.data:
-            return Matrix(self.field, [[] for _ in range(self.cols)], 0)
-        return Matrix(self.field, [list(col) for col in zip(*self.data)], self.rows)
+        if not self.num:
+            return Matrix._raw(self.field, [[] for _ in range(self.cols)], 1, 0)
+        return Matrix._raw(self.field, [list(col) for col in zip(*self.num)], self.den, self.rows)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.rows == other.rows and self.cols == other.cols
-                and self.data == other.data)
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
         raise TypeError("Matrix is not hashable")
@@ -347,8 +377,8 @@ class Matrix:
 
 def scalar_matrix(n: int, c, field=QQ) -> Matrix:
     """c times the n-by-n identity."""
-    c, z = field.of(c), field.zero
-    return Matrix(field, [[c if i == j else z for j in range(n)] for i in range(n)], n)
+    p, q = field.split(field.of(c))
+    return Matrix._normal(field, [[p if i == j else 0 for j in range(n)] for i in range(n)], q, n)
 
 
 # -- Kronecker structure ----------------------------------------------------
@@ -357,29 +387,26 @@ def scalar_matrix(n: int, c, field=QQ) -> Matrix:
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; block (i,j) of the result is a[i][j] * b.
 
-    Zero and one entries of ``a`` copy a zero segment or the row of ``b``
-    instead of multiplying, so a left identity factor costs no arithmetic.
-    That serves the amplifications I_s (x) X of realizations and the block
-    point of the calculus; slot embeddings use :func:`tau_embed`, which
-    places entries without testing them.
+    Zero and one entries of ``a``'s integer rows copy a zero segment or the
+    row of ``b`` instead of multiplying, so a left identity factor costs no
+    arithmetic; slot embeddings use :func:`tau_embed`, which places entries
+    without testing them.
     """
     a._check(b, same_shape=False)
-    field = a.field
-    mul, zero, one = field.mul, field.zero, field.one
-    zeros = [zero] * b.cols
-    data = []
-    for arow in a.data:
-        for brow in b.data:
+    zeros = [0] * b.cols
+    num = []
+    for arow in a.num:
+        for brow in b.num:
             row = []
             for av in arow:
-                if av == zero:
+                if av == 0:
                     row += zeros
-                elif av == one:
+                elif av == 1:
                     row += brow
                 else:
-                    row += [mul(av, bv) for bv in brow]
-            data.append(row)
-    return Matrix(field, data, a.cols * b.cols)
+                    row += [av * bv for bv in brow]
+            num.append(row)
+    return Matrix._normal(a.field, num, a.den * b.den, a.cols * b.cols)
 
 
 def block_matrix(grid: Sequence[Sequence[Matrix]]) -> Matrix:
@@ -387,25 +414,27 @@ def block_matrix(grid: Sequence[Sequence[Matrix]]) -> Matrix:
 
     Blocks in one grid row share their row count, blocks in one grid column
     their column count, and all blocks one field; empty blocks are fine.
+    The blocks' rows are brought over the lcm of their denominators, which
+    keeps the result canonical as ``lift`` does for entries.
     """
     if not grid or not grid[0] or any(len(band) != len(grid[0]) for band in grid):
         raise ValueError("block grid must be a non-empty rectangle")
     first = grid[0][0]
     widths = [block.cols for block in grid[0]]
-    data = []
     for band in grid:
-        height = band[0].rows
         for block, width in zip(band, widths):
             first._check(block, same_shape=False)
-            if block.rows != height or block.cols != width:
+            if block.rows != band[0].rows or block.cols != width:
                 raise ValueError(f"block is {block.rows}x{block.cols}, "
-                                 f"its place wants {height}x{width}")
-        for r in range(height):
-            row = []
-            for block in band:
-                row += block.data[r]
-            data.append(row)
-    return Matrix(first.field, data, sum(widths))
+                                 f"its place wants {band[0].rows}x{width}")
+    den = lcm(*(block.den for band in grid for block in band))
+    num = []
+    for band in grid:
+        lines = [block.num if block.den == den
+                 else [[den // block.den * k for k in row] for row in block.num]
+                 for block in band]
+        num += [[k for part in parts for k in part] for parts in zip(*lines)]
+    return Matrix._raw(first.field, num, den, sum(widths))
 
 
 def direct_sum(a: Matrix, b: Matrix) -> Matrix:
@@ -422,25 +451,25 @@ def tau_embed(i: int, a: Matrix, dims: Sequence[int]) -> Matrix:
     places entries: with pre and post the sizes before and after the slot,
     row (p, r, q) holds row r of ``a`` at the columns (p, c, q), stride
     post apart, so each row is one slice assignment into a copy of a shared
-    zero row and no field arithmetic is done.
+    zero row, over ``a``'s denominator, and no arithmetic is done.
     """
     if not 1 <= i <= len(dims):
         raise ValueError(f"slot {i} out of range for {len(dims)} slots")
     if not a.is_square() or a.rows != dims[i - 1]:
         raise ValueError(f"matrix is {a.rows}x{a.cols}, slot {i} wants size {dims[i - 1]}")
-    n = a.rows
     pre = prod(dims[: i - 1])
     post = prod(dims[i:])
-    width = n * post
-    zeros = [a.field.zero] * (pre * width)
-    data = []
+    width = a.rows * post
+    zeros = [0] * (pre * width)
+    num = []
     for p in range(pre):
-        for arow in a.data:
+        for arow in a.num:
             for start in range(p * width, p * width + post):
                 row = zeros[:]
                 row[start:start + width:post] = arow
-                data.append(row)
-    return Matrix(a.field, data, pre * width)
+                num.append(row)
+    # an empty image has den 1, like every empty matrix
+    return Matrix._raw(a.field, num, a.den if num else 1, pre * width)
 
 
 def _check_permutation(pi: Sequence[int], g: int) -> None:
@@ -475,11 +504,10 @@ def commutation_matrix(pi: Sequence[int], dims: Sequence[int], field=QQ) -> Matr
     _check_permutation(pi, len(dims))
     smap = _factor_permutation_map(pi, dims)
     n = len(smap)
-    z, o = field.zero, field.one
-    data = [[z] * n for _ in range(n)]
+    num = [[0] * n for _ in range(n)]
     for src, dst in enumerate(smap):
-        data[dst][src] = o
-    return Matrix(field, data, n)
+        num[dst][src] = 1
+    return Matrix._raw(field, num, 1, n)
 
 
 def permute_kron_factors(m: Matrix, pi: Sequence[int], dims: Sequence[int]) -> Matrix:
@@ -489,15 +517,13 @@ def permute_kron_factors(m: Matrix, pi: Sequence[int], dims: Sequence[int]) -> M
     if m.rows != n or m.cols != n:
         raise ValueError(f"matrix is {m.rows}x{m.cols}, dims imply {n}")
     smap = _factor_permutation_map(pi, dims)
-    z = m.field.zero
-    data = [[z] * n for _ in range(n)]
+    num = [[0] * n for _ in range(n)]
     for i in range(n):
-        di = smap[i]
-        row = m.data[i]
-        target = data[di]
+        row = m.num[i]
+        target = num[smap[i]]
         for j in range(n):
             target[smap[j]] = row[j]
-    return Matrix(m.field, data, n)
+    return Matrix._raw(m.field, num, m.den, n)
 
 
 # -- elimination -------------------------------------------------------------
@@ -534,13 +560,12 @@ def _bareiss_forward(rows: list[list[int]], n: int) -> int:
     return sign * prev
 
 
-def _back_substitute(rows: list[list[int]], n: int, d: int) -> list[list[Fraction]]:
-    """Solution of the eliminated system, fraction-free.
+def _back_substitute(rows: list[list[int]], n: int, d: int) -> list[list[int]]:
+    """y = d * x for the solution x of the eliminated system.
 
-    With d the determinant of the eliminated block, y = d * x is integral,
-    so every division below is exact; only the returned entries y / d are
-    Fractions.  With no right-hand columns (a determinant) there is nothing
-    to substitute.
+    With d the determinant of the eliminated block, y is integral, so every
+    division below is exact.  With no right-hand columns (a determinant)
+    there is nothing to substitute.
     """
     if not n or len(rows[0]) == n:
         return [[] for _ in rows]
@@ -554,14 +579,14 @@ def _back_substitute(rows: list[list[int]], n: int, d: int) -> list[list[Fractio
                 acc = [s - u * y for s, y in zip(acc, ys[j])]
         piv = ri[i]
         ys[i] = [s // piv for s in acc]
-    return [[Fraction(y, d) for y in yrow] for yrow in ys]
+    return ys
 
 
 def det(a: Matrix):
     """Exact determinant; empty matrices have determinant one."""
     if not a.is_square():
         raise ValueError("determinant of a non-square matrix")
-    return a.field.solve_det(a.data, [[]] * a.rows)[1]
+    return a.field.solve_det(a, Matrix.zeros(a.rows, 0, a.field))[1]
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix | None:
@@ -572,13 +597,13 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
         raise ValueError("right-hand side has wrong number of rows")
     if a.field != b.field:
         raise ValueError(f"field mismatch: {a.field} vs {b.field}")
-    x, _ = a.field.solve_det(a.data, b.data)
-    return None if x is None else Matrix(a.field, x, b.cols)
+    x, _ = a.field.solve_det(a, b)
+    return None if x is None else Matrix._raw(a.field, *x, b.cols)
 
 
 def inv_det(a: Matrix):
     """(A^{-1}, det A) for invertible A, or None when A is singular."""
     if not a.is_square():
         raise ValueError("inverse of a non-square matrix")
-    x, d = a.field.solve_det(a.data, None)
-    return None if x is None else (Matrix(a.field, x, a.rows), d)
+    x, d = a.field.solve_det(a, Matrix.identity(a.rows, a.field))
+    return None if x is None else (Matrix._raw(a.field, *x, a.rows), d)

@@ -41,6 +41,7 @@ from mprat.matrix_kernel import (
     inv_det,
     kron,
     scalar_matrix,
+    tau_embed,
 )
 
 F = Fraction
@@ -153,6 +154,24 @@ def test_reused_evaluator_reports_the_path_from_the_current_root():
     inner = ev.run(e.terms[1])
     assert inner.subexpr is e.terms[1]
     assert inner.path == ()
+
+
+def test_reused_evaluator_checks_letters_after_memoized_subtrees():
+    # letters are validated on a lookup miss and before an Undefined is
+    # returned, not by a walk ahead of the evaluation
+    ab = Alphabet((1,))
+    ev = Evaluator(NcPoint(ab, (rand_invertible(random.Random("memo-bad"), 2),)))
+    square = parse("X1_1 * X1_1", ab)
+    singular = Inverse(Const(F(0)))
+    assert not isinstance(ev.run(square), Undefined)
+    assert isinstance(ev.run(singular), Undefined)
+    with pytest.raises(ValueError, match="part 1 has 1 letters"):
+        ev.run(Sum((square, Var(1, 2))))
+    with pytest.raises(ValueError, match="alphabet has 1 parts"):
+        ev.run(Product((singular, Var(2, 1))))
+    with pytest.raises(ValueError, match="no primed letters"):
+        ev.run(Sum((Product((square, singular)), Var(1, 1, primed=True))))
+    assert ev.run(Sum((square, Var(1, 1)))) == ev.run(square) + ev.point.mats[0]
 
 
 def test_nc_evaluate_against_reference():
@@ -331,6 +350,27 @@ def test_bf_same_index_does_not_commute():
             found = True
             break
     assert found
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(97)], ids=["QQ", "GF97"])
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bf_letters_are_the_products_of_their_two_embeddings(n, g, field):
+    # bf_evaluate places each letter as one Kronecker product; by definition
+    # it is the product of the embeddings of its outer and inner matrices
+    rng = random.Random(f"bf-letters-{n}-{g}")
+
+    def mats():
+        return tuple(Matrix.of(field, [[F(rng.randint(-6, 6), rng.randint(1, 3))
+                                        for _ in range(n)] for _ in range(n)])
+                     for _ in range(g))
+    p = BfPoint(g, n, mats(), mats(), mats(), mats())
+    dims = (n,) * (g + 2)
+    for i in range(g):
+        x = tau_embed(1, p.a_outer[i], dims) @ tau_embed(2 + i, p.a_inner[i], dims)
+        y = tau_embed(2 + i, p.b_inner[i], dims) @ tau_embed(g + 2, p.b_outer[i], dims)
+        assert bf_evaluate(Var(1, i + 1), p) == x
+        assert bf_evaluate(Var(2, i + 1), p) == y
 
 
 def test_bf_rejects_letters_outside_its_alphabet():

@@ -483,7 +483,7 @@ def test_prime_field_singularity_is_mod_p():
     a = Matrix.of(gf, [[97, 0], [0, 1]])
     assert det(a) == 0
     assert inv_det(a) is None
-    # the raw constructor keeps a non-canonical residue; its pivot is still 0
+    # the constructor reduces a raw residue of p to 0, so the pivot is 0
     raw = Matrix(gf, [[97, 1], [0, 1]])
     assert det(raw) == 0
     assert inv_det(raw) is None

@@ -6,6 +6,7 @@ derandomized, so a run is as deterministic as the rest of the suite.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -13,8 +14,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import settings, strategies as st  # noqa: E402
 
 from helpers import (  # noqa: E402
+    l_add,
     l_inv,
+    l_kron,
     l_mul,
+    l_scalar,
     laplace_det,
     naive_mp_eval,
     naive_nc_eval,
@@ -33,7 +37,15 @@ from mprat.expression import (  # noqa: E402
     inverse_of,
     parse,
 )
-from mprat.matrix_kernel import QQ, Matrix, det, inv_det, solve  # noqa: E402
+from mprat.matrix_kernel import (  # noqa: E402
+    QQ,
+    Matrix,
+    block_matrix,
+    det,
+    inv_det,
+    kron,
+    solve,
+)
 from mprat.realization import real_evaluate, real_reduce, realize  # noqa: E402
 
 AB = Alphabet((2, 2))
@@ -157,3 +169,67 @@ def test_inverse_determinant_and_solve_match_the_reference(n, singular, data):
     x = solve(a, Matrix(QQ, b, 2))
     assert x.data == l_mul(want, b)
     assert fractions_only(inv) and fractions_only(x)
+
+
+def canonical(m):
+    """Integer rows of the stated shape over a positive den sharing no
+    factor with all of them."""
+    ks = [k for row in m.num for k in row]
+    return (len(m.num) == m.rows and all(len(row) == m.cols for row in m.num)
+            and all(type(k) is int for k in ks) and m.den > 0 and gcd(m.den, *ks) == 1)
+
+
+def l_product(a, b, cols):
+    # l_mul for any inner size, 0 included
+    return [[sum((x * row[j] for x, row in zip(ra, b)), Fraction(0)) for j in range(cols)]
+            for ra in a]
+
+
+@SETTINGS
+@hypothesis.given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_integer_rows_over_one_denominator_match_the_list_reference(n, m, k, data):
+    a_rows, b_rows = data.draw(matrices(n, m)), data.draw(matrices(n, m))
+    e_rows, s_rows = data.draw(matrices(m, k)), data.draw(matrices(n, n))
+    rhs = data.draw(matrices(n, k))
+    c = data.draw(entries)
+    r0, r1 = sorted(data.draw(st.integers(0, n)) for _ in range(2))
+    c0, c1 = sorted(data.draw(st.integers(0, m)) for _ in range(2))
+    a, b, e, s = (Matrix(QQ, a_rows, m), Matrix(QQ, b_rows, m), Matrix(QQ, e_rows, k),
+                  Matrix(QQ, s_rows, n))
+    ae, be = l_product(a_rows, e_rows, k), l_product(b_rows, e_rows, k)
+    results = [
+        (a + b, l_add(a_rows, b_rows)),
+        (a - b, [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a_rows, b_rows)]),
+        (-a, [[-x for x in row] for row in a_rows]),
+        (a @ e, ae),
+        (a.scale(c), [[c * x for x in row] for row in a_rows]),
+        (s.add_scalar(c), l_add(s_rows, l_scalar(n, c))),
+        (kron(a, e), l_kron(a_rows, e_rows)),
+        (block_matrix([[a, a @ e], [b, b @ e]]),
+         [ra + rx for ra, rx in zip(a_rows + b_rows, ae + be)]),
+        (a.submatrix(r0, r1, c0, c1), [row[c0:c1] for row in a_rows[r0:r1]]),
+        (a.transpose(), [list(col) for col in zip(*a_rows)] if n else [[]] * m),
+    ]
+    d = det(s)
+    assert d == laplace_det(s) and type(d) is Fraction
+    if n:
+        # negating a row negates the determinant: one of the two is negative
+        # whenever s is invertible
+        flipped = Matrix(QQ, [[-x for x in s_rows[0]]] + s_rows[1:], n)
+        assert det(flipped) == -d
+    want = l_inv(s_rows)
+    if want is None:
+        assert d == 0 and inv_det(s) is None and solve(s, Matrix(QQ, rhs, k)) is None
+    else:
+        inv, d2 = inv_det(s)
+        assert d2 == d
+        results += [(inv, want), (solve(s, Matrix(QQ, rhs, k)), l_product(want, rhs, k))]
+    for got, ref in results:
+        assert got.data == ref
+        assert canonical(got)
+        assert fractions_only(got)
+        assert Matrix(QQ, ref, got.cols) == got
+    # == compares den and num, so it holds exactly when the values agree
+    assert (a + b) - b == a
+    assert (a == b) == (a.data == b.data)
+    assert (a.scale(c) == a) == (a.data == [[c * x for x in row] for row in a_rows])
