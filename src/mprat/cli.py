@@ -144,11 +144,11 @@ def load_base_point(path: str, alphabet: Alphabet) -> list[Matrix]:
 
 
 def matrix_rows(m: Matrix) -> list[list[str]]:
-    return [[str(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
+    return [[str(x) for x in row] for row in m.data]
 
 
 def matrix_flat(m: Matrix) -> list[str]:
-    return [str(m.entry(i, j)) for i in range(m.rows) for j in range(m.cols)]
+    return [str(x) for x in m.flat()]
 
 
 def dump_point(a: MpPoint) -> dict:

@@ -17,13 +17,13 @@ An inverse of a singular matrix does not raise; evaluation returns an
 the root, and the failure propagates outward.  Within one call, shared
 subtrees are evaluated once.
 
-Constants are applied as scalars.  The ``Const`` children of a ``Product``
-fold into one field element c that scales the product of the other factors
-once (not at all when c = 1); those of a ``Sum`` fold into one c added on
-the diagonal of the sum of the other terms (not at all when c = 0); a node
-whose children are all constants is c * I.  A ``Const`` node itself is
-still memoized as its c * I, which is its value at the root or under an
-``Inverse``.
+Constants are applied as scalars.  A letter-free subtree (a ``Const``, or
+a ``Sum`` or ``Product`` of such) is memoized as its field element c, which
+stands for c * I.  The scalar children of a ``Product`` fold into one c that
+scales the product of the other factors once (not at all when c = 1); those
+of a ``Sum`` fold into one c added on the diagonal of the sum of the other
+terms (not at all when c = 0).  A scalar becomes the matrix c * I only as
+the value of the root or as the argument of an ``Inverse``.
 """
 
 from __future__ import annotations
@@ -165,8 +165,9 @@ class Evaluator:
     Reusable across expressions over the same point (matrix_rational
     evaluates whole expression matrices through one instance).  The memo
     maps id(node) to (node, value); holding the node keeps its id from
-    being reused by a later expression.  An inverse of a singular value is
-    memoized with the value None.
+    being reused by a later expression.  The value is a Matrix, a field
+    element c standing for c * I when the subtree has no letters, or None
+    for an inverse of a singular value.
     """
 
     def __init__(self, point: NcPoint):
@@ -175,9 +176,7 @@ class Evaluator:
         self.field = point.field
         self.lookup = {(v.part, v.index, v.primed): m
                        for v, m in zip(point.alphabet.letters(), point.mats)}
-        self.memo: dict[int, tuple[Expr, Matrix | None]] = {}
-        # id(node) -> field value of a memoized Const, converted once
-        self.scalars: dict[int, object] = {}
+        self.memo: dict[int, tuple[Expr, object]] = {}
 
     def run(self, e: Expr) -> Matrix | Undefined:
         """Value of e, or the Undefined of the first singular inverse in walk
@@ -199,15 +198,18 @@ class Evaluator:
             if hit[1] is None:
                 validate_vars(e, self.point.alphabet)
                 return Undefined(node, _path_to(e, node))
-        return memo[id(e)][1]
+        return self._matrix(memo[id(e)][1])
 
-    def _value(self, node: Expr) -> Matrix | None:
+    def _matrix(self, v) -> Matrix:
+        # a memoized value as a matrix: a field element c is c * I
+        return v if isinstance(v, Matrix) else scalar_matrix(self.n, v, self.field)
+
+    def _value(self, node: Expr):
         # from the memoized values of the node's children
         memo = self.memo
         field = self.field
         if isinstance(node, Const):
-            c = self.scalars[id(node)] = field.of(node.value)
-            return scalar_matrix(self.n, c, field)
+            return field.of(node.value)
         if isinstance(node, Var):
             return self.lookup[(node.part, node.index, node.primed)]
         if isinstance(node, Sum):
@@ -215,26 +217,27 @@ class Evaluator:
         if isinstance(node, Product):
             return self._combine(node.factors, matmul, field.mul, 1, Matrix.scale)
         if isinstance(node, Inverse):
-            pair = inv_det(memo[id(node.arg)][1])
+            pair = inv_det(self._matrix(memo[id(node.arg)][1]))
             return None if pair is None else pair[0]
         raise TypeError(f"not an expression node: {type(node).__name__}")
 
-    def _combine(self, kids, op, scalar_op, unit, apply) -> Matrix:
-        """The kids' values joined by op, with the Const kids folded by
-        scalar_op into one scalar that apply puts on the rest once.
+    def _combine(self, kids, op, scalar_op, unit, apply):
+        """The kids' values joined by op, with the scalar values folded by
+        scalar_op into one scalar that apply puts on the matrices once; a
+        scalar when no kid is a matrix.
 
         ``unit`` is the int 0 or 1: every field's zero and one equal them,
         and a ``Fraction`` compares with an int faster than with another
         ``Fraction``.
         """
         memo = self.memo
-        mats = [memo[id(k)][1] for k in kids if not isinstance(k, Const)]
-        if len(mats) == len(kids):
+        values = [memo[id(k)][1] for k in kids]
+        mats = [v for v in values if isinstance(v, Matrix)]
+        if len(mats) == len(values):
             return reduce(op, mats)
-        scalars = self.scalars
-        c = reduce(scalar_op, [scalars[id(k)] for k in kids if isinstance(k, Const)])
+        c = reduce(scalar_op, [v for v in values if not isinstance(v, Matrix)])
         if not mats:
-            return scalar_matrix(self.n, c, self.field)
+            return c
         m = reduce(op, mats)
         return m if c == unit else apply(m, c)
 

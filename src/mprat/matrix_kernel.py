@@ -62,15 +62,7 @@ class Rationals:
         return Fraction(x)
 
     add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
     mul = staticmethod(operator.mul)
-    neg = staticmethod(operator.neg)
-
-    @staticmethod
-    def inv(a: Fraction) -> Fraction:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in QQ")
-        return 1 / a
 
     @staticmethod
     def lift(rows):
@@ -153,14 +145,8 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def inv(self, a):
         if a % self.p == 0:

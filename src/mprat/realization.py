@@ -24,9 +24,18 @@ from fractions import Fraction
 from functools import reduce
 from typing import Sequence
 
-from .evaluation import Evaluator, NcPoint, Undefined
+from .evaluation import NcPoint, Undefined, nc_evaluate
 from .expression import Alphabet, Const, Expr, Inverse, Product, Sum, Var, fold
-from .matrix_kernel import Matrix, block_matrix, det, inv_det, kron, scalar_matrix, solve
+from .matrix_kernel import (
+    Matrix,
+    block_matrix,
+    det,
+    inv_det,
+    kron,
+    scalar_matrix,
+    solve,
+    tau_embed,
+)
 
 Blocks = dict[tuple[int, int], Matrix]
 
@@ -111,6 +120,12 @@ def _column_sums(c: Sequence[Matrix], blocks: Blocks) -> dict[int, Matrix]:
     return {l: mat for l, mat in out.items() if not mat.is_zero()}
 
 
+def _at_base(r: Realization) -> Matrix:
+    """The value at the base point, sum c_k b_k: there the pencil argument
+    vanishes."""
+    return sum((ck @ bk for ck, bk in zip(r.c, r.b)), _zeros(r.m, r.field))
+
+
 def _const_real(value: Fraction, m: int, p: tuple[Matrix, ...], field) -> Realization:
     return Realization(m, p, 1, (scalar_matrix(m, field.of(value), field),),
                        (Matrix.identity(m, field),), ())
@@ -140,11 +155,8 @@ def _prod_real(r: Realization, s: Realization) -> Realization:
     """
     m, field = r.m, r.field
     n = r.dim
-    z = _zeros(m, field)
-    s_at_p = z
-    for cu, bu in zip(s.c, s.b):
-        s_at_p = s_at_p + cu @ bu
-    c = r.c + (z,) * s.dim
+    s_at_p = _at_base(s)
+    c = r.c + (_zeros(m, field),) * s.dim
     b = tuple(bk @ s_at_p for bk in r.b) + s.b
     terms = list(r.terms)
     for t in s.terms:
@@ -158,10 +170,10 @@ def _prod_real(r: Realization, s: Realization) -> Realization:
     return Realization(m, r.p, r.dim + s.dim, c, b, tuple(terms))
 
 
-def _inverse_real(r: Realization, value_at_p: Matrix) -> Realization:
+def _inverse_real(r: Realization) -> Realization:
     """One extra coordinate; the value at p supplies the invertible constant."""
     m, field = r.m, r.field
-    res = inv_det(value_at_p)
+    res = inv_det(_at_base(r))
     if res is None:
         raise ValueError("value at base point is not invertible")
     vinv = res[0]
@@ -196,8 +208,7 @@ def realize(e: Expr, alphabet: Alphabet, p: Sequence[Matrix]) -> Realization:
     there.
     """
     point = NcPoint(alphabet, tuple(p))
-    ev = Evaluator(point)
-    top = ev.run(e)
+    top = nc_evaluate(e, point)
     if isinstance(top, Undefined):
         raise BasePointOutsideDomain(top)
     m, field = point.n, point.field
@@ -214,7 +225,7 @@ def realize(e: Expr, alphabet: Alphabet, p: Sequence[Matrix]) -> Realization:
         if isinstance(node, Product):
             return reduce(_prod_real, kids)
         assert isinstance(node, Inverse)
-        return _inverse_real(kids[0], ev.memo[id(node.arg)][1])
+        return _inverse_real(kids[0])
 
     return fold(e, rule)
 
@@ -230,20 +241,19 @@ def _amplified_pencil(r: Realization, a: Sequence[Matrix]) -> Matrix:
             raise ValueError("point matrices must be square, equal size, same field")
     if size % r.m:
         raise ValueError(f"point size {size} is not a multiple of the base size {r.m}")
-    s = size // r.m
-    eye_s = Matrix.identity(s, field)
-    diffs = [a[i] - kron(eye_s, r.p[i]) for i in range(r.g)]
+    dims = (size // r.m, r.m)
+    diffs = [a[i] - tau_embed(2, r.p[i], dims) for i in range(r.g)]
     n = r.dim
     grid: list[list[Matrix | None]] = [[None] * n for _ in range(n)]
     for t in r.terms:
         diff = diffs[t.letter - 1]
         rows: dict[int, list[tuple[int, Matrix]]] = {}
         for (u, l), mat in t.B.items():
-            rows.setdefault(u, []).append((l, kron(eye_s, mat)))
+            rows.setdefault(u, []).append((l, tau_embed(2, mat, dims)))
         for (k, u), mat in t.C.items():
             if u not in rows:
                 continue
-            left = kron(eye_s, mat) @ diff
+            left = tau_embed(2, mat, dims) @ diff
             for l, right in rows[u]:
                 contrib = left @ right
                 grid[k][l] = contrib if grid[k][l] is None else grid[k][l] + contrib
@@ -265,12 +275,11 @@ def real_evaluate(r: Realization, a: Sequence[Matrix]) -> Matrix | PencilSingula
     """c (I - L(a - p))^{-1} b with every block amplified to the size of a."""
     lam = _amplified_pencil(r, a)
     size = a[0].rows
-    s = size // r.m
+    dims = (size // r.m, r.m)
     field = r.field
     if r.dim == 0:
         return Matrix.zeros(size, size, field)
-    eye_s = Matrix.identity(s, field)
-    x = solve(lam, block_matrix([[kron(eye_s, bk)] for bk in r.b]))
+    x = solve(lam, block_matrix([[tau_embed(2, bk, dims)] for bk in r.b]))
     if x is None:
         return PencilSingular()
     out = Matrix.zeros(size, size, field)
@@ -278,7 +287,7 @@ def real_evaluate(r: Realization, a: Sequence[Matrix]) -> Matrix | PencilSingula
         ck = r.c[k]
         if ck.is_zero():
             continue
-        out = out + kron(eye_s, ck) @ x.submatrix(k * size, (k + 1) * size, 0, size)
+        out = out + tau_embed(2, ck, dims) @ x.submatrix(k * size, (k + 1) * size, 0, size)
     return out
 
 

@@ -433,6 +433,10 @@ SCALAR_CASES = {
     "constant under an inverse": Product((Inverse(c(4)), Y)),
     "shared constant": Sum((Product((SHARED, X, Y)), SHARED, Product((Y, SHARED)))),
     "scalars around a product": Sum((c(2), Product((c(3), X, Y, c(-1))), c(F(1, 2)))),
+    # letter-free inner nodes, which the builders fold away
+    "letter-free sum as a factor": Product((Sum((c(2), c(3))), X)),
+    "letter-free product as a term": Sum((Product((c(2), c(-1))), X)),
+    "inverse of a letter-free sum": Product((Inverse(Sum((c(2), c(1)))), Y)),
 }
 
 
@@ -461,12 +465,11 @@ def test_inverse_of_cancelling_constants_is_undefined_at_the_root(field):
     assert mp_evaluate(e, empty) == Matrix.zeros(0, 0, field)
 
 
-def test_constant_values_stay_scalar_matrices_in_the_memo():
-    a = rand_invertible(random.Random("memo-const"), 2)
+@pytest.mark.parametrize("field", [QQ, PrimeField(97)], ids=["QQ", "GF97"])
+def test_letter_free_values_are_memoized_as_field_elements(field):
+    a = Matrix.of(field, rand_invertible(random.Random("memo-const"), 2).data)
     ev = Evaluator(NcPoint(Alphabet((1,)), (a,)))
-    e = Sum((c(3), Product((c(2), Var(1, 1)))))
-    assert ev.run(e) == a.scale(F(2)).add_scalar(F(3))
-    consts = [node for node, _ in ev.memo.values() if isinstance(node, Const)]
-    assert len(consts) == 2
-    for node in consts:
-        assert ev.memo[id(node)][1] == scalar_matrix(2, node.value)
+    const, total = c(F(2, 3)), Sum((c(3), c(-1)))
+    for node, value in ((const, field.of(F(2, 3))), (total, field.of(2))):
+        assert ev.run(node) == scalar_matrix(2, value, field)
+        assert ev.memo[id(node)][1] == value

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import CORPUS_ALPHABET, corpus, rand_invertible, rand_matrix
 from mprat.evaluation import MpPoint, NcPoint, nc_evaluate, mp_evaluate, tau_point
-from mprat.expression import Alphabet, Const, parse
+from mprat.expression import Alphabet, Const, Inverse, Product, Sum, Var, parse
 from mprat.matrix_kernel import QQ, Matrix, inv_det, scalar_matrix
 from mprat.realization import (
     BasePointOutsideDomain,
@@ -70,6 +70,25 @@ def test_base_point_outside_domain():
     p = (Matrix.zeros(2, 2), Matrix.identity(2))
     with pytest.raises(BasePointOutsideDomain) as exc:
         realize(parse("inv(X1_1)", AB1), AB1, p)
+    assert exc.value.undefined.path == ()
+
+
+def test_inverse_of_a_letter_free_sum():
+    # the builders fold Sum((2, 3)) away; the raw constructors keep it, so
+    # the inverse takes its base value from a realization of constants
+    rng = random.Random("re-inv-const")
+    e = Product((Inverse(Sum((Const(F(2)), Const(F(3))))), Var(1, 1)))
+    p = rand_base(rng, AB1, 2)
+    r = realize(e, AB1, p)
+    for s in (1, 2):
+        a = [rand_matrix(rng, 2 * s) for _ in range(2)]
+        assert real_evaluate(r, a) == nc_evaluate(e, NcPoint(AB1, tuple(a)))
+
+
+def test_inverse_of_cancelling_constants_is_outside_the_domain():
+    p = rand_base(random.Random("re-inv-zero"), AB1, 2)
+    with pytest.raises(BasePointOutsideDomain) as exc:
+        realize(Inverse(Sum((Const(F(1)), Const(F(-1))))), AB1, p)
     assert exc.value.undefined.path == ()
 
 
