@@ -4,10 +4,10 @@ Three evaluation models share one engine:
 
 * nc-evaluation plugs one square matrix per letter into the expression,
   ignoring the part structure entirely.
-* mp-evaluation first embeds part i's matrices into a common Kronecker
-  space by ``tau_embed`` so that distinct parts commute, then nc-evaluates.
-  Part 1 is the outermost tensor factor; a primed part occupies its own
-  slot immediately before its unprimed sibling.
+* mp-evaluation works in M_{n₁}⊗⋯⊗M_{n_G}: a letter of slot s acts as
+  I⊗X⊗I with X on slot s, so that distinct parts commute.  Part 1 is the
+  outermost tensor factor; a primed part occupies its own slot
+  immediately before its unprimed sibling.
 * bf-evaluation (two equal-sized letter families X, Y over g indices) uses
   g+2 slots of size n: X_i acts on the first slot and middle slot i, Y_i on
   the last slot and middle slot i.
@@ -17,20 +17,35 @@ An inverse of a singular matrix does not raise; evaluation returns an
 the root, and the failure propagates outward.  Within one call, shared
 subtrees are evaluated once.
 
+Values are slot-local.  The value of a subtree with letters is a pair
+(slots, M): slots is the sorted tuple of tensor slots its letters touch,
+and M is a matrix on the product of those slots only, standing for M with
+identities on every other slot.  An mp letter is ((s,), X), an nc letter
+((0,), X) on one slot of size n, and a bf letter the Kronecker product of
+its two matrices on its two slots.  Values on equal slots add, multiply
+and invert at their own size (I⊗M is invertible exactly when M is).  A
+product of values on disjoint slots is their ``kron``, its factors put
+back in slot order, with no matrix product.  Values on overlapping slots,
+and the terms of a sum, are placed (``place``) into the union of their
+slots only; the root alone is placed into every slot.  At a point with a
+slot of size 0 every value, every inverse included, is the 0x0 matrix.
+
 Constants are applied as scalars.  A letter-free subtree (a ``Const``, or
 a ``Sum`` or ``Product`` of such) is memoized as its field element c, which
 stands for c * I.  The scalar children of a ``Product`` fold into one c that
 scales the product of the other factors once (not at all when c = 1); those
 of a ``Sum`` fold into one c added on the diagonal of the sum of the other
-terms (not at all when c = 0).  A scalar becomes the matrix c * I only as
-the value of the root or as the argument of an ``Inverse``.
+terms (not at all when c = 0).  A scalar becomes a matrix only as the value
+of the root, c * I, or as the argument of an ``Inverse``, the 1x1 matrix c
+on no slots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import add, matmul
+from math import prod
+from operator import add
 
 from .expression import (
     Alphabet,
@@ -44,7 +59,15 @@ from .expression import (
     validate_vars,
     walk,
 )
-from .matrix_kernel import Matrix, inv_det, kron, scalar_matrix, tau_embed
+from .matrix_kernel import (
+    Matrix,
+    inv_det,
+    kron,
+    permute_kron_factors,
+    place,
+    scalar_matrix,
+    tau_embed,
+)
 
 
 @dataclass(frozen=True)
@@ -159,23 +182,40 @@ def tau_point(a: MpPoint) -> NcPoint:
     return NcPoint(a.alphabet, tuple(mats))
 
 
+def _slot_letters(point: NcPoint | MpPoint | BfPoint):
+    """(alphabet, slot sizes, each letter's (slots, matrix) in letter order)."""
+    if isinstance(point, MpPoint):
+        return point.alphabet, point.dims, [((s,), m) for s, mats in enumerate(point.parts)
+                                            for m in mats]
+    if isinstance(point, NcPoint):
+        return point.alphabet, (point.n,), [((0,), m) for m in point.mats]
+    g, last = point.g, point.g + 1
+    xs = [((0, 1 + i), kron(point.a_outer[i], point.a_inner[i])) for i in range(g)]
+    ys = [((1 + i, last), kron(point.b_inner[i], point.b_outer[i])) for i in range(g)]
+    return Alphabet((g, g)), (point.n,) * (g + 2), xs + ys
+
+
 class Evaluator:
-    """Bottom-up evaluator over one NcPoint, memoizing shared subtrees.
+    """Bottom-up evaluator over one point, memoizing shared subtrees.
 
     Reusable across expressions over the same point (matrix_rational
     evaluates whole expression matrices through one instance).  The memo
     maps id(node) to (node, value); holding the node keeps its id from
-    being reused by a later expression.  The value is a Matrix, a field
-    element c standing for c * I when the subtree has no letters, or None
-    for an inverse of a singular value.
+    being reused by a later expression.  The value is a field element c
+    standing for c * I when the subtree has no letters, a pair (slots, M) of
+    the sorted tensor slots its letters touch and a matrix M on them, or
+    None for an inverse of a singular value.  ``n`` is the size of a root
+    value, the product of the slot sizes.
     """
 
-    def __init__(self, point: NcPoint):
+    def __init__(self, point: NcPoint | MpPoint | BfPoint):
         self.point = point
-        self.n = point.n
-        self.field = point.field
-        self.lookup = {(v.part, v.index, v.primed): m
-                       for v, m in zip(point.alphabet.letters(), point.mats)}
+        self.alphabet, self.dims, values = _slot_letters(point)
+        self.slots = tuple(range(len(self.dims)))
+        self.n = prod(self.dims)
+        self.field = values[0][1].field
+        self.lookup = {(v.part, v.index, v.primed): val
+                       for v, val in zip(self.alphabet.letters(), values)}
         self.memo: dict[int, tuple[Expr, object]] = {}
 
     def run(self, e: Expr) -> Matrix | Undefined:
@@ -186,6 +226,10 @@ class Evaluator:
         and before an Undefined is returned, so a letter outside the
         alphabet raises ``validate_vars``'s error wherever it sits in e.
         """
+        if not self.n:
+            # a slot of size 0: every value is 0x0, and so is every inverse
+            validate_vars(e, self.alphabet)
+            return Matrix.zeros(0, 0, self.field)
         memo = self.memo
         for node in walk(e):
             hit = memo.get(id(node))
@@ -193,16 +237,15 @@ class Evaluator:
                 try:
                     hit = memo[id(node)] = (node, self._value(node))
                 except KeyError:  # a letter missing from the point
-                    validate_vars(e, self.point.alphabet)
+                    validate_vars(e, self.alphabet)
                     raise
             if hit[1] is None:
-                validate_vars(e, self.point.alphabet)
+                validate_vars(e, self.alphabet)
                 return Undefined(node, _path_to(e, node))
-        return self._matrix(memo[id(e)][1])
-
-    def _matrix(self, v) -> Matrix:
-        # a memoized value as a matrix: a field element c is c * I
-        return v if isinstance(v, Matrix) else scalar_matrix(self.n, v, self.field)
+        v = memo[id(e)][1]
+        if isinstance(v, tuple):
+            return self._on(v, self.slots)
+        return scalar_matrix(self.n, v, self.field)
 
     def _value(self, node: Expr):
         # from the memoized values of the node's children
@@ -213,18 +256,22 @@ class Evaluator:
         if isinstance(node, Var):
             return self.lookup[(node.part, node.index, node.primed)]
         if isinstance(node, Sum):
-            return self._combine(node.terms, add, field.add, 0, Matrix.add_scalar)
+            return self._combine(node.terms, self._sum, field.add, 0, Matrix.add_scalar)
         if isinstance(node, Product):
-            return self._combine(node.factors, matmul, field.mul, 1, Matrix.scale)
+            return self._combine(node.factors, self._product, field.mul, 1, Matrix.scale)
         if isinstance(node, Inverse):
-            pair = inv_det(self._matrix(memo[id(node.arg)][1]))
-            return None if pair is None else pair[0]
+            v = memo[id(node.arg)][1]
+            # I_k (x) M is singular exactly when M is: k > 0, as run
+            # returns early at a slot of size 0
+            slots, m = v if isinstance(v, tuple) else ((), scalar_matrix(1, v, field))
+            pair = inv_det(m)
+            return None if pair is None else (slots, pair[0])
         raise TypeError(f"not an expression node: {type(node).__name__}")
 
-    def _combine(self, kids, op, scalar_op, unit, apply):
-        """The kids' values joined by op, with the scalar values folded by
-        scalar_op into one scalar that apply puts on the matrices once; a
-        scalar when no kid is a matrix.
+    def _combine(self, kids, join, scalar_op, unit, apply):
+        """The kids' values joined by join, with the scalar values folded by
+        scalar_op into one scalar that apply puts on the matrix once; a
+        scalar when no kid has letters.
 
         ``unit`` is the int 0 or 1: every field's zero and one equal them,
         and a ``Fraction`` compares with an int faster than with another
@@ -232,14 +279,48 @@ class Evaluator:
         """
         memo = self.memo
         values = [memo[id(k)][1] for k in kids]
-        mats = [v for v in values if isinstance(v, Matrix)]
+        mats = [v for v in values if isinstance(v, tuple)]
         if len(mats) == len(values):
-            return reduce(op, mats)
-        c = reduce(scalar_op, [v for v in values if not isinstance(v, Matrix)])
+            return join(mats)
+        c = reduce(scalar_op, [v for v in values if not isinstance(v, tuple)])
         if not mats:
             return c
-        m = reduce(op, mats)
-        return m if c == unit else apply(m, c)
+        slots, m = join(mats)
+        return (slots, m) if c == unit else (slots, apply(m, c))
+
+    def _on(self, v, slots):
+        # the matrix of the value v placed on slots, a superset of its own
+        own, m = v
+        if own == slots:
+            return m
+        return place(m, [slots.index(s) for s in own], [self.dims[s] for s in slots])
+
+    def _sum(self, values):
+        slots = values[0][0]
+        if any(v[0] != slots for v in values):
+            slots = tuple(sorted({s for v in values for s in v[0]}))
+        return slots, reduce(add, [self._on(v, slots) for v in values])
+
+    def _product(self, values):
+        return reduce(self._times, values)
+
+    def _times(self, x, y):
+        # values on disjoint slots commute: their product is a kron with its
+        # factors in slot order
+        (s, a), (t, b) = x, y
+        if s == t:
+            return s, a @ b
+        if not s or not t or s[-1] < t[0]:
+            return s + t, kron(a, b)
+        if t[-1] < s[0]:
+            return t + s, kron(b, a)
+        if set(s).isdisjoint(t):
+            order = s + t
+            slots = tuple(sorted(order))
+            return slots, permute_kron_factors(kron(a, b), [order.index(u) + 1 for u in slots],
+                                               [self.dims[u] for u in order])
+        slots = tuple(sorted({*s, *t}))
+        return slots, self._on(x, slots) @ self._on(y, slots)
 
 
 def nc_evaluate(e: Expr, point: NcPoint) -> Matrix | Undefined:
@@ -248,8 +329,8 @@ def nc_evaluate(e: Expr, point: NcPoint) -> Matrix | Undefined:
 
 
 def mp_evaluate(e: Expr, a: MpPoint) -> Matrix | Undefined:
-    """Evaluate after tau-embedding, in M_{n₁⋯n_G}."""
-    return nc_evaluate(e, tau_point(a))
+    """Evaluate in M_{n₁⋯n_G}, each letter acting on its own tensor slot."""
+    return Evaluator(a).run(e)
 
 
 def bf_evaluate(e: Expr, p: BfPoint) -> Matrix | Undefined:
@@ -257,17 +338,11 @@ def bf_evaluate(e: Expr, p: BfPoint) -> Matrix | Undefined:
 
     Part 1 letters are the X family, part 2 the Y family.  The result has
     size n^(g+2).  Each letter is the product of two embeddings in distinct
-    slots, one of them the first or the last, so it is placed as a Kronecker
-    product: X_i = A_outer (x) tau_{1+i}(A_inner) over the last g+1 slots,
-    and Y_i = tau_{2+i}(B_inner) (x) B_outer over the first g+1.
+    slots, one of them the first or the last, so it enters as one Kronecker
+    product on its two slots: X_i = A_outer (x) A_inner on slots 1 and 1+i,
+    Y_i = B_inner (x) B_outer on slots 1+i and g+2.
     """
-    alphabet = Alphabet((p.g, p.g))
-    dims = (p.n,) * (p.g + 2)
-    mats = [kron(p.a_outer[i], tau_embed(1 + i, p.a_inner[i], dims[1:]))
-            for i in range(p.g)]
-    mats += [kron(tau_embed(2 + i, p.b_inner[i], dims[:-1]), p.b_outer[i])
-             for i in range(p.g)]
-    return nc_evaluate(e, NcPoint(alphabet, tuple(mats)))
+    return Evaluator(p).run(e)
 
 
 def ell_collapse(m: Matrix, n: int, g: int) -> Matrix:

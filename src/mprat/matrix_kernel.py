@@ -28,10 +28,17 @@ y = dN * Na^-1 Nb is integral by Cramer's rule, so back substitution
 X = Da * y / (dN * Db) and det A = dN / Da^n.  Over ``PrimeField`` it is
 Gauss-Jordan elimination with modular pivot inverses.
 
-Structured operands are placed rather than multiplied: ``tau_embed`` copies
-the entries of a slot matrix into the positions of I (x) A (x) I, and a
-scalar c * I enters a product as ``Matrix.scale`` and a sum as
-``Matrix.add_scalar``, so neither is ever a dense operand of ``matmul``.
+A zero/nonzero question about a determinant is ``_det_nonzero``: over QQ
+it takes the determinant of the integer rows mod 2^61 - 1 first, and runs
+exact Bareiss only when that is 0.  ``det`` itself stays exact.
+
+Structured operands are placed rather than multiplied.  ``place`` copies the
+entries of a matrix on some tensor slots into the positions of its image
+with identities on the other slots (``tau_embed`` is its one-slot case, I
+(x) A (x) I); a matrix on disjoint slots joins it by ``kron`` and
+``permute_kron_factors``; and a scalar c * I enters a product as
+``Matrix.scale`` and a sum as ``Matrix.add_scalar``.  None of them is ever a
+dense operand of ``matmul``.
 """
 
 from __future__ import annotations
@@ -429,23 +436,35 @@ def direct_sum(a: Matrix, b: Matrix) -> Matrix:
                          [Matrix.zeros(b.rows, a.cols, a.field), b]])
 
 
-def tau_embed(i: int, a: Matrix, dims: Sequence[int]) -> Matrix:
-    """Embed ``a`` into the i-th tensor slot (1-based) of a Kronecker product.
+def place(a: Matrix, slots: Sequence[int], dims: Sequence[int]) -> Matrix:
+    """Put ``a`` on some tensor slots of a Kronecker product, identities on
+    the others.
 
-    Returns I_{n_1} (x) ... (x) a (x) ... (x) I_{n_G} for the slot sizes in
-    ``dims``; ``a`` must be square of size ``dims[i-1]``.  The image only
-    places entries: with pre and post the sizes before and after the slot,
-    row (p, r, q) holds row r of ``a`` at the columns (p, c, q), stride
-    post apart, so each row is one slice assignment into a copy of a shared
-    zero row, over ``a``'s denominator, and no arithmetic is done.
+    ``slots`` are increasing 0-based positions in ``dims`` and ``a`` is
+    square of the size of their product: on slots (0, 2) of (2, 3, 4), ``a``
+    is 8-by-8 and its image is a (x) I_3 with the factors put back in slot
+    order.  Adjacent slots give I_pre (x) a (x) I_post, which only
+    places entries: with post the size after the slots, row (p, r, q) holds
+    row r of ``a`` at the columns (p, c, q), stride post apart, so each row
+    is one slice assignment into a copy of a shared zero row, over ``a``'s
+    denominator, and no arithmetic is done.  Other slots are placed first
+    and then moved, with the factors left over, by ``permute_kron_factors``.
     """
-    if not 1 <= i <= len(dims):
-        raise ValueError(f"slot {i} out of range for {len(dims)} slots")
-    if not a.is_square() or a.rows != dims[i - 1]:
-        raise ValueError(f"matrix is {a.rows}x{a.cols}, slot {i} wants size {dims[i - 1]}")
-    pre = prod(dims[: i - 1])
-    post = prod(dims[i:])
-    width = a.rows * post
+    g = len(dims)
+    if list(slots) != sorted(set(slots)) or slots and not 0 <= slots[0] <= slots[-1] < g:
+        raise ValueError(f"slots {tuple(slots)} are not increasing positions in {g} slots")
+    k = prod(dims[s] for s in slots)
+    if not a.is_square() or a.rows != k:
+        raise ValueError(f"matrix is {a.rows}x{a.cols}, slots {tuple(slots)} want size {k}")
+    first = slots[0] if slots else 0
+    if slots and slots[-1] - first >= len(slots):
+        order = [*slots, *(s for s in range(g) if s not in slots)]
+        moved = [dims[s] for s in order]
+        return permute_kron_factors(place(a, range(len(slots)), moved),
+                                    [order.index(s) + 1 for s in range(g)], moved)
+    pre = prod(dims[:first])
+    post = prod(dims[first + len(slots):])
+    width = k * post
     zeros = [0] * (pre * width)
     num = []
     for p in range(pre):
@@ -458,27 +477,31 @@ def tau_embed(i: int, a: Matrix, dims: Sequence[int]) -> Matrix:
     return Matrix._raw(a.field, num, a.den if num else 1, pre * width)
 
 
+def tau_embed(i: int, a: Matrix, dims: Sequence[int]) -> Matrix:
+    """Embed ``a`` into the i-th tensor slot (1-based) of a Kronecker product.
+
+    Returns I_{n_1} (x) ... (x) a (x) ... (x) I_{n_G} for the slot sizes in
+    ``dims``; ``a`` must be square of size ``dims[i-1]``.  This is
+    :func:`place` on the one slot i - 1.
+    """
+    if not 1 <= i <= len(dims):
+        raise ValueError(f"slot {i} out of range for {len(dims)} slots")
+    return place(a, (i - 1,), dims)
+
+
 def _check_permutation(pi: Sequence[int], g: int) -> None:
     if sorted(pi) != list(range(1, g + 1)):
         raise ValueError(f"{tuple(pi)} is not a permutation of 1..{g}")
 
 
-def _factor_permutation_map(pi: Sequence[int], dims: Sequence[int]) -> list[int]:
-    # flat index map s with e_I -> e_{s(I)} when tensor factors are reordered
-    # so that factor pi[k] lands in position k.
-    g = len(dims)
-    n = prod(dims)
-    pdims = [dims[pi[k] - 1] for k in range(g)]
-    # strides for mixed-radix encodings in both orders
-    strides = [prod(dims[k + 1:]) for k in range(g)]
-    pstrides = [prod(pdims[k + 1:]) for k in range(g)]
-    out = [0] * n
-    for flat in range(n):
-        rem = flat
-        multi = [0] * g
-        for k in range(g):
-            multi[k], rem = divmod(rem, strides[k]) if strides[k] != 1 else (rem, 0)
-        out[flat] = sum(multi[pi[k] - 1] * pstrides[k] for k in range(g))
+def _factor_sources(pi: Sequence[int], dims: Sequence[int]) -> list[int]:
+    # t with e_J = e_{t(J)} once the tensor factors are reordered so that
+    # factor pi[k] lands in position k: J's digits, read in the new order,
+    # carry the strides of their original factors.
+    strides = [prod(dims[s + 1:]) for s in range(len(dims))]
+    out = [0]
+    for p in pi:
+        out = [x + i * strides[p - 1] for x in out for i in range(dims[p - 1])]
     return out
 
 
@@ -488,10 +511,10 @@ def commutation_matrix(pi: Sequence[int], dims: Sequence[int], field=QQ) -> Matr
     ``pi`` is 1-based: pi[k] is the original slot that lands in position k+1.
     """
     _check_permutation(pi, len(dims))
-    smap = _factor_permutation_map(pi, dims)
-    n = len(smap)
+    sources = _factor_sources(pi, dims)
+    n = len(sources)
     num = [[0] * n for _ in range(n)]
-    for src, dst in enumerate(smap):
+    for dst, src in enumerate(sources):
         num[dst][src] = 1
     return Matrix._raw(field, num, 1, n)
 
@@ -502,14 +525,8 @@ def permute_kron_factors(m: Matrix, pi: Sequence[int], dims: Sequence[int]) -> M
     n = prod(dims)
     if m.rows != n or m.cols != n:
         raise ValueError(f"matrix is {m.rows}x{m.cols}, dims imply {n}")
-    smap = _factor_permutation_map(pi, dims)
-    num = [[0] * n for _ in range(n)]
-    for i in range(n):
-        row = m.num[i]
-        target = num[smap[i]]
-        for j in range(n):
-            target[smap[j]] = row[j]
-    return Matrix._raw(m.field, num, m.den, n)
+    t = _factor_sources(pi, dims)
+    return Matrix._raw(m.field, [[m.num[i][j] for j in t] for i in t], m.den, n)
 
 
 # -- elimination -------------------------------------------------------------
@@ -573,6 +590,22 @@ def det(a: Matrix):
     if not a.is_square():
         raise ValueError("determinant of a non-square matrix")
     return a.field.solve_det(a, Matrix.zeros(a.rows, 0, a.field))[1]
+
+
+_GF61 = PrimeField()
+
+
+def _det_nonzero(m: Matrix) -> bool:
+    """Whether det m != 0, certified mod 2^61 - 1 where that suffices.
+
+    Over QQ, det(num) = den^n * det m is an integer and reduction mod p is a
+    ring homomorphism, so a nonzero det(num) mod p proves det m != 0 with no
+    condition on the denominator; only a determinant that is 0 mod p runs
+    exact Bareiss.  Over a prime field this is ``det(m) != 0``.
+    """
+    if m.field == QQ and det(Matrix._normal(_GF61, m.num, 1, m.cols)):
+        return True
+    return det(m) != 0
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix | None:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Sequence
 
-from .evaluation import Evaluator, MpPoint, Undefined, tau_point
+from .evaluation import Evaluator, MpPoint, Undefined
 from .expression import (
     Alphabet,
     Const,
@@ -37,7 +37,8 @@ from .expression import (
     validate_vars,
 )
 from .identity import NonzeroWitness, TestConfig, _points, is_zero
-from .matrix_kernel import Matrix, block_matrix, det
+# det stays bound here for perfbench/tracing.py, which wraps it by name
+from .matrix_kernel import Matrix, _det_nonzero, block_matrix, det  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ def matrix_mp_evaluate(m: ExprMatrix, a: MpPoint) -> Matrix | Undefined:
     One evaluator serves all entries, so shared subexpressions are costed
     once.  The first undefined entry (row-major) is reported.
     """
-    ev = Evaluator(tau_point(a))
+    ev = Evaluator(a)
     blocks: list[list[Matrix]] = []
     for row in m.entries:
         out_row = []
@@ -122,7 +123,7 @@ def matrix_invertible(
     cfg = cfg or TestConfig()
     for _, _, a in _points(m.alphabet, cfg, cfg.max_level):
         val = matrix_mp_evaluate(m, a)
-        if not isinstance(val, Undefined) and det(val) != 0:
+        if not isinstance(val, Undefined) and _det_nonzero(val):
             return InvertibleWitness(a)
     return ProbablyNotInvertible(cfg.max_level, cfg.trials_per_level)
 

@@ -466,6 +466,45 @@ def test_inverse_of_cancelling_constants_is_undefined_at_the_root(field):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(97)], ids=["QQ", "GF97"])
+def test_inverse_of_a_singular_letter_is_undefined_unless_a_slot_is_empty(field):
+    # I_k (x) M is singular exactly when M is singular and k > 0
+    e = Inverse(Var(1, 1))
+    zero = Matrix.zeros(2, 2, field)
+    empty = MpPoint(AB11, ((zero,), (Matrix.zeros(0, 0, field),)))
+    assert mp_evaluate(e, empty) == Matrix.zeros(0, 0, field)
+    one = MpPoint(AB11, ((zero,), (Matrix.identity(1, field),)))
+    v = mp_evaluate(e, one)
+    assert isinstance(v, Undefined)
+    assert v.subexpr is e and v.path == ()
+
+
+# part 1 primed (slot 0) and plain (slot 1), part 2 (slot 2): values on the
+# slots {0, 2} meet values on {1}, so Kronecker factors must be reordered,
+# and are placed into {0, 1, 2} at the non-adjacent positions 0 and 2
+AB3 = Alphabet((2, 1), primed_parts={1})
+MIXED_SLOT_TEXTS = [
+    "(X1_1' * X2_1) * X1_1",
+    "X1_1' * X2_1 + X1_1 * X1_2",
+    "X1_2 * (X1_1' + X2_1) * X1_1'",
+    "inv(X1_1' * X2_1 + 2) * X1_2 - X1_2 * inv(X1_1' * X2_1 + 2)",
+    "inv(X1_1 * X1_2' + X2_1) * (X1_1' + X1_1) + X1_2'",
+]
+
+
+@pytest.mark.parametrize("dims", [(2, 1, 3), (3, 2, 1), (1, 3, 2), (2, 2, 2)])
+@pytest.mark.parametrize("text", MIXED_SLOT_TEXTS)
+def test_mixed_slot_values_match_the_naive_evaluator(text, dims):
+    e = parse(text, AB3)
+    point = rand_mp_point(random.Random(f"mixed {text} {dims}"), AB3, dims, bound=5)
+    want = naive_mp_eval(e, point)
+    got = mp_evaluate(e, point)
+    if want is None:
+        assert isinstance(got, Undefined)
+    else:
+        assert assert_defined(got).data == want
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(97)], ids=["QQ", "GF97"])
 def test_letter_free_values_are_memoized_as_field_elements(field):
     a = Matrix.of(field, rand_invertible(random.Random("memo-const"), 2).data)
     ev = Evaluator(NcPoint(Alphabet((1,)), (a,)))

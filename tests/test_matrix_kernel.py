@@ -2,14 +2,18 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
 from math import prod
 
 import pytest
 
 from helpers import l_eye, l_inv, l_kron, l_mul, laplace_det
 from mprat.matrix_kernel import (
+    MERSENNE61,
     QQ,
     Matrix,
+    Rationals,
+    _det_nonzero,
     PrimeField,
     block_matrix,
     commutation_matrix,
@@ -18,6 +22,7 @@ from mprat.matrix_kernel import (
     inv_det,
     kron,
     permute_kron_factors,
+    place,
     scalar_matrix,
     solve,
     tau_embed,
@@ -227,6 +232,21 @@ def test_tau_embed_cross_slot_commutation():
 GENERIC = [F(0), F(1), F(-1), F(-7, 3), F(5, 2), F(2), F(1, 9), F(-4), F(11, 6)]
 
 
+def l_place(a, slots, dims):
+    # entry (R, C) of the image is a[R on slots][C on slots] where R and C
+    # agree off the slots, else 0; multi-indices in row-major order
+    index = list(product(*map(range, dims)))
+
+    def on(m, inside):
+        k = 0
+        for s in range(len(dims)):
+            if (s in slots) == inside:
+                k = k * dims[s] + m[s]
+        return k
+    return [[a[on(r, True)][on(c, True)] if on(r, False) == on(c, False) else F(0)
+             for c in index] for r in index]
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(97)], ids=["QQ", "GF97"])
 @pytest.mark.parametrize("dims", [(1,), (3,), (2, 3), (3, 1, 2), (2, 2, 2), (2, 0, 3)])
 def test_tau_embed_matches_kron_with_identities(dims, field):
@@ -241,6 +261,14 @@ def test_tau_embed_matches_kron_with_identities(dims, field):
         assert got.data == want.data
         if field == QQ:
             assert all_fractions(got)
+    # every slot subset, the empty one and the non-adjacent ones included
+    for size in range(len(dims) + 1):
+        for slots in combinations(range(len(dims)), size):
+            k = prod(dims[s] for s in slots)
+            a = [[GENERIC[(5 * r + 3 * c + size) % len(GENERIC)] for c in range(k)]
+                 for r in range(k)]
+            got = place(Matrix.of(field, a, k), slots, dims)
+            assert got == Matrix.of(field, l_place(a, slots, dims), prod(dims))
 
 
 def test_tau_embed_validates():
@@ -248,6 +276,11 @@ def test_tau_embed_validates():
         tau_embed(3, Matrix.identity(2), (2, 2))
     with pytest.raises(ValueError):
         tau_embed(1, Matrix.identity(3), (2, 2))
+    for slots in ((1, 0), (0, 0), (2,), (-1,)):
+        with pytest.raises(ValueError, match="increasing positions"):
+            place(Matrix.identity(4), slots, (2, 2))
+    with pytest.raises(ValueError, match="want size 4"):
+        place(Matrix.identity(2), (0, 1), (2, 2))
 
 
 def test_commutation_matrix_swap_2x2():
@@ -355,6 +388,38 @@ def test_singular_paths():
         assert solve(a, Matrix.identity(a.rows)) is None
         assert det(a) == 0 == laplace_det(a)
         assert type(det(a)) is Fraction
+
+
+def test_det_nonzero_is_decided_mod_p_first(monkeypatch):
+    exact = []
+    solve_det = Rationals.solve_det
+
+    def counted(self, a, b):
+        exact.append(a.rows)
+        return solve_det(self, a, b)
+    monkeypatch.setattr(Rationals, "solve_det", counted)
+    p = MERSENNE61
+    cases = [
+        # det = p: 0 mod p, nonzero through the exact fallback
+        ([[p + 1, 1], [1, 1]], True, 1),
+        ([[2, 0, 1], [0, 3 * p, 0], [1, 0, 1]], True, 1),
+        ([[1, 2], [2, 4]], False, 1),
+        # p in a denominator: the integer rows have det 1, no fallback
+        ([[F(1, p), 3], [0, F(1, p)]], True, 0),
+        ([[F(2, 3), 1], [5, F(-1, 7)]], True, 0),
+    ]
+    for rows, nonzero, fallbacks in cases:
+        m = Matrix.of(QQ, rows)
+        exact.clear()
+        assert _det_nonzero(m) is nonzero
+        assert len(exact) == fallbacks
+        assert (det(m) != 0) is nonzero
+    gf = PrimeField(97)
+    assert _det_nonzero(Matrix.of(gf, [[1, 2], [3, 4]]))
+    assert not _det_nonzero(Matrix.of(gf, [[1, 2], [2, 4]]))
+    assert not _det_nonzero(Matrix.of(gf, [[97 + 1, 1], [1, 1]]))
+    with pytest.raises(ValueError):
+        _det_nonzero(Matrix.zeros(2, 3))
 
 
 def test_det_matches_laplace():

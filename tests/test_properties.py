@@ -49,12 +49,11 @@ from mprat.matrix_kernel import (  # noqa: E402
 from mprat.realization import real_evaluate, real_reduce, realize  # noqa: E402
 
 AB = Alphabet((2, 2))
+# three slots: part 1 primed (slots 0 and 1), part 2 (slot 2)
+AB3 = Alphabet((2, 1), primed_parts={1})
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
-leaves = st.one_of(
-    st.sampled_from(AB.letters()),
-    st.builds(lambda n, d: Const(Fraction(n, d)), st.integers(-4, 4), st.integers(1, 3)),
-)
+consts = st.builds(lambda n, d: Const(Fraction(n, d)), st.integers(-4, 4), st.integers(1, 3))
 
 
 def _grow(inner):
@@ -69,7 +68,14 @@ def _grow(inner):
     )
 
 
-exprs = st.recursive(leaves, _grow, max_leaves=12)
+def expressions(alphabet):
+    letters = st.sampled_from(alphabet.letters())
+    # a product of two letters starts out on up to two tensor slots
+    pairs = st.lists(letters, min_size=2, max_size=2).map(expr_product)
+    return st.recursive(st.one_of(letters, consts, pairs), _grow, max_leaves=12)
+
+
+exprs = expressions(AB)
 
 
 @SETTINGS
@@ -85,10 +91,19 @@ def test_format_of_a_dag_is_the_format_of_its_tree(e):
     assert format_expr(e) == format_expr(unshare(e))
 
 
+# On AB3, values live on slot unions such as {0, 2}, and a product of
+# values on {0, 2} and {1} is a Kronecker product with its factors
+# reordered, which moves entries unless a slot between them has size 1.
+@pytest.mark.parametrize("alphabet, dims_list", [
+    (AB, [(1, 1), (1, 2), (2, 1)]),
+    (AB3, [(2, 1, 3), (3, 2, 1), (1, 3, 2), (2, 2, 2)]),
+], ids=["AB", "AB3"])
 @SETTINGS
-@hypothesis.given(exprs, st.integers(0, 2 ** 32), st.sampled_from([(1, 1), (1, 2), (2, 1)]))
-def test_mp_evaluate_matches_the_naive_evaluator(e, seed, dims):
-    point = rand_mp_point(random.Random(seed), AB, dims, bound=3)
+@hypothesis.given(st.data(), st.integers(0, 2 ** 32))
+def test_mp_evaluate_matches_the_naive_evaluator(alphabet, dims_list, data, seed):
+    e = data.draw(expressions(alphabet))
+    dims = data.draw(st.sampled_from(dims_list))
+    point = rand_mp_point(random.Random(seed), alphabet, dims, bound=3)
     got = mp_evaluate(e, point)
     want = naive_mp_eval(e, point)
     if want is None:
