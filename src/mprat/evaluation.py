@@ -387,14 +387,11 @@ def check_multipartite_tuple(p: NcPoint) -> bool:
 
 
 def tau_point_of_nc(b: NcPoint) -> NcPoint:
-    """Embed each letter of slot i by tau_embed into (n, …, n), one slot per
-    alphabet slot.  For a commuting tuple this is the point the collapse map
-    relates back to b."""
-    n = b.n
+    """b's letters grouped by alphabet slot into an MpPoint, n by n on every
+    slot, and embedded by tau_point into (n, …, n).  For a commuting tuple
+    this is the point the collapse map relates back to b."""
     slots = b.alphabet.slots()
-    dims = (n,) * len(slots)
-    mats = []
+    parts: list[list[Matrix]] = [[] for _ in slots]
     for v, m in zip(b.alphabet.letters(), b.mats):
-        s = slots.index((v.part, v.primed))
-        mats.append(tau_embed(s + 1, m, dims))
-    return NcPoint(b.alphabet, tuple(mats))
+        parts[slots.index((v.part, v.primed))].append(m)
+    return tau_point(MpPoint(b.alphabet, tuple(map(tuple, parts))))

@@ -11,10 +11,13 @@ I_s (x) X; this is a unital homomorphism on the coefficients, so the
 realization identity survives the size change and real_evaluate agrees with
 plain evaluation wherever both sides are defined.
 
-Construction is a bottom-up fold: sums stack two realizations side by
-side, products chain them through a constant coupling block that is folded
-back into the pencil coefficients, and inverses add one block coordinate,
-using the (invertible) value at the base point as the constant term.
+Construction is one bottom-up fold that builds each node's realization
+together with its value at p from its children's: sums stack two
+realizations side by side, products chain them through a constant coupling
+block, and inverses add one block coordinate whose constant term is the
+inverse of the argument's value; both couplings are folded back into the
+pencil coefficients.  The fold runs in walk order, so an expression
+undefined at p names the same first singular inverse as nc_evaluate.
 """
 
 from __future__ import annotations
@@ -22,10 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from operator import add
 from typing import Sequence
 
-from .evaluation import NcPoint, Undefined, nc_evaluate
-from .expression import Alphabet, Const, Expr, Inverse, Product, Sum, Var, fold
+from .evaluation import NcPoint, Undefined
+from .expression import (Alphabet, Const, Expr, Inverse, Product, Sum, Var, _path_to, fold,
+                         validate_vars)
 from .matrix_kernel import (
     Matrix,
     _det_nonzero,
@@ -121,10 +126,23 @@ def _column_sums(c: Sequence[Matrix], blocks: Blocks) -> dict[int, Matrix]:
     return {l: mat for l, mat in out.items() if not mat.is_zero()}
 
 
-def _at_base(r: Realization) -> Matrix:
-    """The value at the base point, sum c_k b_k: there the pencil argument
-    vanishes."""
-    return sum((ck @ bk for ck, bk in zip(r.c, r.b)), _zeros(r.m, r.field))
+def _couple(t: PencilTerm, c: Sequence[Matrix], left: Sequence[Matrix],
+            shift: int) -> PencilTerm:
+    """t moved down and right by shift coordinates, with its constant
+    coupling folded in: left[k] @ colsum is added into C block (k, shift + l)
+    for each column sum l of c times t.C, and blocks that cancel are dropped."""
+    C = _shift(t.C, shift, shift)
+    for l, colsum in _column_sums(c, t.C).items():
+        for k, lk in enumerate(left):
+            key = (k, shift + l)
+            block = lk @ colsum
+            if key in C:
+                block = C[key] + block
+            if block.is_zero():
+                C.pop(key, None)
+            else:
+                C[key] = block
+    return PencilTerm(t.letter, C, _shift(t.B, shift, shift))
 
 
 def _const_real(value: Fraction, m: int, p: tuple[Matrix, ...], field) -> Realization:
@@ -147,88 +165,64 @@ def _sum_real(r: Realization, s: Realization) -> Realization:
     return Realization(r.m, r.p, r.dim + s.dim, r.c + s.c, r.b + s.b, terms)
 
 
-def _prod_real(r: Realization, s: Realization) -> Realization:
+def _prod_real(r: Realization, s: Realization, s_at_p: Matrix) -> Realization:
     """Cascade: value flows through s first, then couples into r via b_r c_s.
 
     The coupling is a constant block, which a pencil cannot carry directly;
-    it is folded away by left-multiplying its inverse into the s-side C
-    blocks and into b.
+    it is folded into the s-side C blocks, and b_r takes s's value at p.
     """
     m, field = r.m, r.field
     n = r.dim
-    s_at_p = _at_base(s)
     c = r.c + (_zeros(m, field),) * s.dim
     b = tuple(bk @ s_at_p for bk in r.b) + s.b
-    terms = list(r.terms)
-    for t in s.terms:
-        newC = _shift(t.C, n, n)
-        for l, colsum in _column_sums(s.c, t.C).items():
-            for k in range(n):
-                coupling = r.b[k] @ colsum
-                if not coupling.is_zero():
-                    newC[(k, n + l)] = coupling
-        terms.append(PencilTerm(t.letter, newC, _shift(t.B, n, n)))
-    return Realization(m, r.p, r.dim + s.dim, c, b, tuple(terms))
+    terms = r.terms + tuple(_couple(t, s.c, r.b, n) for t in s.terms)
+    return Realization(m, r.p, r.dim + s.dim, c, b, terms)
 
 
-def _inverse_real(r: Realization) -> Realization:
-    """One extra coordinate; the value at p supplies the invertible constant."""
+def _inverse_real(r: Realization, vinv: Matrix) -> Realization:
+    """One extra coordinate, whose constant term is vinv, the inverse of r at p."""
     m, field = r.m, r.field
-    res = inv_det(_at_base(r))
-    if res is None:
-        raise ValueError("value at base point is not invertible")
-    vinv = res[0]
     c = (Matrix.identity(m, field),) + (_zeros(m, field),) * r.dim
     b = (vinv,) + tuple(-(bk @ vinv) for bk in r.b)
-    terms = []
-    for t in r.terms:
-        newC = _shift(t.C, 1, 1)
-        for l, colsum in _column_sums(r.c, t.C).items():
-            top = vinv @ colsum
-            if not top.is_zero():
-                newC[(0, 1 + l)] = top
-            for k in range(r.dim):
-                corr = r.b[k] @ top
-                if corr.is_zero():
-                    continue
-                key = (1 + k, 1 + l)
-                updated = newC.get(key, _zeros(m, field)) - corr
-                if updated.is_zero():
-                    newC.pop(key, None)
-                else:
-                    newC[key] = updated
-        terms.append(PencilTerm(t.letter, newC, _shift(t.B, 1, 1)))
-    return Realization(m, r.p, r.dim + 1, c, b, tuple(terms))
+    terms = tuple(_couple(t, r.c, b, 1) for t in r.terms)
+    return Realization(m, r.p, r.dim + 1, c, b, terms)
 
 
 def realize(e: Expr, alphabet: Alphabet, p: Sequence[Matrix]) -> Realization:
     """Build a realization of e about the base point p (flat letter order).
 
     p holds one m-by-m matrix per letter of the alphabet, in the order of
-    alphabet.letters().  Raises BasePointOutsideDomain when e is undefined
-    there.
+    alphabet.letters().  Raises ValueError for a letter outside the alphabet,
+    and BasePointOutsideDomain when e is undefined at p, naming the Undefined
+    that nc_evaluate reports: the first singular inverse in walk order.
     """
     point = NcPoint(alphabet, tuple(p))
-    top = nc_evaluate(e, point)
-    if isinstance(top, Undefined):
-        raise BasePointOutsideDomain(top)
-    m, field = point.n, point.field
-    pt = tuple(p)
+    validate_vars(e, alphabet)
+    m, field, pt = point.n, point.field, point.mats
     positions = {(v.part, v.index, v.primed): i + 1 for i, v in enumerate(alphabet.letters())}
 
-    def rule(node: Expr, kids: list[Realization]) -> Realization:
+    def rule(node: Expr, kids: list[tuple[Realization, Matrix]]) -> tuple[Realization, Matrix]:
         if isinstance(node, Const):
-            return _const_real(node.value, m, pt, field)
+            r = _const_real(node.value, m, pt, field)
+            return r, r.c[0]
         if isinstance(node, Var):
-            return _letter_real(positions[(node.part, node.index, node.primed)], m, pt, field)
+            i = positions[(node.part, node.index, node.primed)]
+            return _letter_real(i, m, pt, field), pt[i - 1]
         if isinstance(node, Sum):
-            return reduce(_sum_real, kids)
+            return reduce(_sum_real, [r for r, _ in kids]), reduce(add, [v for _, v in kids])
         if isinstance(node, Product):
-            return reduce(_prod_real, kids)
+            r, v = kids[0]
+            for s, w in kids[1:]:
+                r, v = _prod_real(r, s, w), v @ w
+            return r, v
         assert isinstance(node, Inverse)
-        return _inverse_real(kids[0])
+        r, v = kids[0]
+        res = inv_det(v)
+        if res is None:
+            raise BasePointOutsideDomain(Undefined(node, _path_to(e, node)))
+        return _inverse_real(r, res[0]), res[0]
 
-    return fold(e, rule)
+    return fold(e, rule)[0]
 
 
 def _amplified_pencil(r: Realization, a: Sequence[Matrix]) -> Matrix:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import CORPUS_ALPHABET, corpus, rand_invertible, rand_matrix
-from mprat.evaluation import MpPoint, NcPoint, nc_evaluate, mp_evaluate, tau_point
+from mprat.evaluation import MpPoint, NcPoint, Undefined, nc_evaluate, mp_evaluate, tau_point
 from mprat.expression import Alphabet, Const, Inverse, Product, Sum, Var, parse
 from mprat.matrix_kernel import QQ, Matrix, inv_det, scalar_matrix
 from mprat.realization import (
@@ -25,9 +25,9 @@ F = Fraction
 AB1 = Alphabet((2,))
 
 
-def rand_base(rng, alphabet, m, invertible=False):
+def rand_base(rng, alphabet, m, invertible=False, bound=10):
     gen = rand_invertible if invertible else rand_matrix
-    return tuple(gen(rng, m) for _ in alphabet.letters())
+    return tuple(gen(rng, m, bound) for _ in alphabet.letters())
 
 
 def test_const_realization():
@@ -71,6 +71,58 @@ def test_base_point_outside_domain():
     with pytest.raises(BasePointOutsideDomain) as exc:
         realize(parse("inv(X1_1)", AB1), AB1, p)
     assert exc.value.undefined.path == ()
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_realize_is_undefined_exactly_where_nc_evaluate_is(m):
+    # entries in {-1, 0, 1}: many base points make some inverse singular
+    rng = random.Random(f"re-domain {m}")
+    seen = {True: 0, False: 0}
+    for e in corpus():
+        for _ in range(6):
+            p = rand_base(rng, CORPUS_ALPHABET, m, bound=1)
+            val = nc_evaluate(e, NcPoint(CORPUS_ALPHABET, p))
+            seen[isinstance(val, Undefined)] += 1
+            if isinstance(val, Undefined):
+                with pytest.raises(BasePointOutsideDomain) as exc:
+                    realize(e, CORPUS_ALPHABET, p)
+                assert exc.value.undefined == val
+                assert exc.value.undefined.subexpr is val.subexpr
+            else:
+                assert real_evaluate(realize(e, CORPUS_ALPHABET, p), p) == val
+    assert seen[True] >= 10 and seen[False] >= 10
+
+
+def test_realize_rejects_letters_and_points_that_do_not_fit():
+    zero, eye = Matrix.zeros(1, 1), Matrix.identity(1)
+    bad_letter = (Var(1, 3), Sum((Inverse(Var(1, 1)), Var(1, 3))))
+    for e in bad_letter:
+        # a letter outside the alphabet is reported even after a singular inverse
+        with pytest.raises(ValueError) as exc:
+            realize(e, AB1, (zero, eye))
+        assert not isinstance(exc.value, BasePointOutsideDomain)
+    with pytest.raises(ValueError) as exc:
+        realize(parse("X1_1", AB1), AB1, (eye,))
+    assert not isinstance(exc.value, BasePointOutsideDomain)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_no_stored_block_is_zero(m):
+    # couplings that cancel must be dropped, not kept as zero blocks
+    rng = random.Random(f"re-nonzero {m}")
+    checked = 0
+    for e in corpus():
+        for bound in (1, 3, 10):
+            try:
+                r = realize(e, CORPUS_ALPHABET, rand_base(rng, CORPUS_ALPHABET, m, bound=bound))
+            except BasePointOutsideDomain:
+                continue
+            for real in (r, real_reduce(r)):
+                for t in real.terms:
+                    for blocks in (t.C, t.B):
+                        assert not any(mat.is_zero() for mat in blocks.values())
+                checked += 1
+    assert checked >= 80
 
 
 def test_inverse_of_a_letter_free_sum():
