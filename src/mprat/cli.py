@@ -65,11 +65,15 @@ def parse_alphabet(text: str) -> Alphabet:
         raise CliError(f"--alphabet: {exc}") from None
 
 
-def load_json(path: str):
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
+
+
+def load_json(path: str):
+    text = _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -77,10 +81,7 @@ def load_json(path: str):
 
 
 def load_expr(path: str, alphabet: Alphabet):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from None
+    text = _read_text(path)
     try:
         return parse(text, alphabet)
     except ValueError as exc:
@@ -163,16 +164,21 @@ def undefined_report(u: Undefined) -> dict:
 
 
 def dump_realization(r: Realization) -> dict:
-    def blocks(d):
-        return {f"{k},{l}": matrix_flat(v) for (k, l), v in sorted(d.items())}
+    """Print each letter coordinate u as one pencil term: its letter, the
+    C blocks of column u and B = {(u, u): I_m}, which is always the identity
+    and is printed only to keep the output format."""
+    columns: dict[int, dict] = {}
+    for (k, u), v in sorted(r.C.items()):
+        columns.setdefault(u, {})[f"{k},{u}"] = matrix_flat(v)
+    eye = matrix_flat(Matrix.identity(r.m, r.field))
     return {"m": r.m,
             "dim": r.dim,
             "rho": r.rho,
             "p": [matrix_flat(m) for m in r.p],
             "c": [matrix_flat(m) for m in r.c],
             "b": [matrix_flat(m) for m in r.b],
-            "terms": [{"letter": t.letter, "C": blocks(t.C), "B": blocks(t.B)}
-                      for t in r.terms]}
+            "terms": [{"letter": letter, "C": columns.get(u, {}), "B": {f"{u},{u}": eye}}
+                      for u, letter in sorted(r.letters.items())]}
 
 
 def verdict_report(v) -> tuple[dict, int]:

@@ -1,10 +1,12 @@
 """Linear-pencil realizations about a base point.
 
 A realization packages a rational expression in flattened letters Z_1..Z_g
-as r = c (I - sum C (Z_i - p_i) B)^{-1} b, where c, b and the pencil
-coefficients C, B are block matrices with m-by-m blocks and p is a tuple of
-m-by-m base-point matrices at which the expression is defined.  At the base
-point the pencil argument vanishes, so p always lies in the domain.
+as r = c (I - C diag(Z_l(u) - p_l(u)))^{-1} b: every state coordinate u
+carries one letter l(u), and c, b and the constant pencil coefficient C are
+block matrices with m-by-m blocks (C stored sparsely, one block per nonzero
+coupling of coordinate u into coordinate k).  p is a tuple of m-by-m
+base-point matrices at which the expression is defined.  At the base point
+the pencil argument vanishes, so p always lies in the domain.
 
 Evaluation at a point of size s*m amplifies every coefficient block X to
 I_s (x) X; this is a unital homomorphism on the coefficients, so the
@@ -15,9 +17,9 @@ Construction is one bottom-up fold that builds each node's realization
 together with its value at p from its children's: sums stack two
 realizations side by side, products chain them through a constant coupling
 block, and inverses add one block coordinate whose constant term is the
-inverse of the argument's value; both couplings are folded back into the
-pencil coefficients.  The fold runs in walk order, so an expression
-undefined at p names the same first singular inverse as nc_evaluate.
+inverse of the argument's value; both couplings are folded back into C.
+The fold runs in walk order, so an expression undefined at p names the same
+first singular inverse as nc_evaluate.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .matrix_kernel import (
     block_matrix,
     det,  # noqa: F401  bound here for perfbench/tracing.py, which wraps it by name
     inv_det,
-    kron,
+    kron,  # noqa: F401  bound here for perfbench/tracing.py, which wraps it by name
     scalar_matrix,
     solve,
     tau_embed,
@@ -60,22 +62,18 @@ class PencilSingular:
 
 
 @dataclass(frozen=True)
-class PencilTerm:
-    """One summand C (Z_letter - p_letter) B of the pencil, blocks stored sparsely."""
-
-    letter: int
-    C: Blocks
-    B: Blocks
-
-
-@dataclass(frozen=True)
 class Realization:
+    """letters maps each letter coordinate u to the letter acting on it;
+    C holds the blocks (k, u) of the pencil coefficient, each in a letter
+    coordinate's column.  realize stores no zero block."""
+
     m: int
     p: tuple[Matrix, ...]
     dim: int
     c: tuple[Matrix, ...]
     b: tuple[Matrix, ...]
-    terms: tuple[PencilTerm, ...]
+    letters: dict[int, int]
+    C: Blocks
 
     def __post_init__(self):
         m, n, g = self.m, self.dim, len(self.p)
@@ -86,19 +84,20 @@ class Realization:
                 raise ValueError(f"blocks must be {m}x{m}")
         if len(self.c) != n or len(self.b) != n:
             raise ValueError("c and b must have dim blocks")
-        for t in self.terms:
-            if not 1 <= t.letter <= g:
-                raise ValueError(f"letter {t.letter} out of range")
-            for blocks in (t.C, t.B):
-                for (k, l), mat in blocks.items():
-                    if not (0 <= k < n and 0 <= l < n):
-                        raise ValueError("pencil block index out of range")
-                    if mat.rows != m or mat.cols != m:
-                        raise ValueError(f"blocks must be {m}x{m}")
+        for u, letter in self.letters.items():
+            if not 0 <= u < n:
+                raise ValueError(f"letter coordinate {u} out of range")
+            if not 1 <= letter <= g:
+                raise ValueError(f"letter {letter} out of range")
+        for (k, u), mat in self.C.items():
+            if not 0 <= k < n or u not in self.letters:
+                raise ValueError(f"pencil block ({k}, {u}) outside a letter column")
+            if mat.rows != m or mat.cols != m:
+                raise ValueError(f"blocks must be {m}x{m}")
 
     @property
     def rho(self) -> int:
-        return len(self.terms)
+        return len(self.letters)
 
     @property
     def g(self) -> int:
@@ -113,56 +112,48 @@ def _zeros(m: int, field) -> Matrix:
     return Matrix.zeros(m, m, field)
 
 
-def _shift(blocks: Blocks, dk: int, dl: int) -> Blocks:
-    return {(k + dk, l + dl): mat for (k, l), mat in blocks.items()}
-
-
-def _column_sums(c: Sequence[Matrix], blocks: Blocks) -> dict[int, Matrix]:
-    """Per-column block sums of the row vector c times a sparse block matrix."""
-    out: dict[int, Matrix] = {}
-    for (k, l), mat in blocks.items():
-        prod = c[k] @ mat
-        out[l] = out[l] + prod if l in out else prod
-    return {l: mat for l, mat in out.items() if not mat.is_zero()}
-
-
-def _couple(t: PencilTerm, c: Sequence[Matrix], left: Sequence[Matrix],
-            shift: int) -> PencilTerm:
-    """t moved down and right by shift coordinates, with its constant
-    coupling folded in: left[k] @ colsum is added into C block (k, shift + l)
-    for each column sum l of c times t.C, and blocks that cancel are dropped."""
-    C = _shift(t.C, shift, shift)
-    for l, colsum in _column_sums(c, t.C).items():
+def _couple(C: Blocks, c: Sequence[Matrix], left: Sequence[Matrix], shift: int) -> Blocks:
+    """C moved down and right by shift coordinates, with its constant
+    coupling folded in: left[k] @ colsum is added into block (k, shift + u)
+    for each nonzero column sum u of c times C, and blocks that cancel are
+    dropped."""
+    out = {(k + shift, u + shift): mat for (k, u), mat in C.items()}
+    sums: dict[int, Matrix] = {}
+    support = {k for k, ck in enumerate(c) if not ck.is_zero()}
+    for (k, u), mat in C.items():
+        if k in support:
+            prod = c[k] @ mat
+            sums[u] = sums[u] + prod if u in sums else prod
+    for u, colsum in sums.items():
+        if colsum.is_zero():
+            continue
         for k, lk in enumerate(left):
-            key = (k, shift + l)
+            key = (k, shift + u)
             block = lk @ colsum
-            if key in C:
-                block = C[key] + block
+            if key in out:
+                block = out[key] + block
             if block.is_zero():
-                C.pop(key, None)
+                out.pop(key, None)
             else:
-                C[key] = block
-    return PencilTerm(t.letter, C, _shift(t.B, shift, shift))
+                out[key] = block
+    return out
 
 
 def _const_real(value: Fraction, m: int, p: tuple[Matrix, ...], field) -> Realization:
     return Realization(m, p, 1, (scalar_matrix(m, field.of(value), field),),
-                       (Matrix.identity(m, field),), ())
+                       (Matrix.identity(m, field),), {}, {})
 
 
 def _letter_real(i: int, m: int, p: tuple[Matrix, ...], field) -> Realization:
     eye = Matrix.identity(m, field)
-    z = _zeros(m, field)
-    term = PencilTerm(i, {(0, 1): eye}, {(1, 1): eye})
-    return Realization(m, p, 2, (eye, z), (p[i - 1], eye), (term,))
+    return Realization(m, p, 2, (eye, _zeros(m, field)), (p[i - 1], eye), {1: i}, {(0, 1): eye})
 
 
 def _sum_real(r: Realization, s: Realization) -> Realization:
     n = r.dim
-    terms = r.terms + tuple(
-        PencilTerm(t.letter, _shift(t.C, n, n), _shift(t.B, n, n)) for t in s.terms
-    )
-    return Realization(r.m, r.p, r.dim + s.dim, r.c + s.c, r.b + s.b, terms)
+    letters = r.letters | {n + u: letter for u, letter in s.letters.items()}
+    C = r.C | {(n + k, n + u): mat for (k, u), mat in s.C.items()}
+    return Realization(r.m, r.p, r.dim + s.dim, r.c + s.c, r.b + s.b, letters, C)
 
 
 def _prod_real(r: Realization, s: Realization, s_at_p: Matrix) -> Realization:
@@ -175,8 +166,9 @@ def _prod_real(r: Realization, s: Realization, s_at_p: Matrix) -> Realization:
     n = r.dim
     c = r.c + (_zeros(m, field),) * s.dim
     b = tuple(bk @ s_at_p for bk in r.b) + s.b
-    terms = r.terms + tuple(_couple(t, s.c, r.b, n) for t in s.terms)
-    return Realization(m, r.p, r.dim + s.dim, c, b, terms)
+    letters = r.letters | {n + u: letter for u, letter in s.letters.items()}
+    C = r.C | _couple(s.C, s.c, r.b, n)
+    return Realization(m, r.p, r.dim + s.dim, c, b, letters, C)
 
 
 def _inverse_real(r: Realization, vinv: Matrix) -> Realization:
@@ -184,8 +176,8 @@ def _inverse_real(r: Realization, vinv: Matrix) -> Realization:
     m, field = r.m, r.field
     c = (Matrix.identity(m, field),) + (_zeros(m, field),) * r.dim
     b = (vinv,) + tuple(-(bk @ vinv) for bk in r.b)
-    terms = tuple(_couple(t, r.c, b, 1) for t in r.terms)
-    return Realization(m, r.p, r.dim + 1, c, b, terms)
+    letters = {u + 1: letter for u, letter in r.letters.items()}
+    return Realization(m, r.p, r.dim + 1, c, b, letters, _couple(r.C, r.c, b, 1))
 
 
 def realize(e: Expr, alphabet: Alphabet, p: Sequence[Matrix]) -> Realization:
@@ -225,8 +217,10 @@ def realize(e: Expr, alphabet: Alphabet, p: Sequence[Matrix]) -> Realization:
     return fold(e, rule)[0]
 
 
+
+
 def _amplified_pencil(r: Realization, a: Sequence[Matrix]) -> Matrix:
-    """I - sum (I_s (x) C)(I_n (x) (a_i - I_s (x) p_i))(I_s (x) B), dense."""
+    """I - (I_s (x) C)(I_n (x) diag(a_l(u) - I_s (x) p_l(u))), dense."""
     if len(a) != r.g:
         raise ValueError(f"expected {r.g} point matrices, got {len(a)}")
     size = a[0].rows
@@ -239,30 +233,13 @@ def _amplified_pencil(r: Realization, a: Sequence[Matrix]) -> Matrix:
     dims = (size // r.m, r.m)
     diffs = [a[i] - tau_embed(2, r.p[i], dims) for i in range(r.g)]
     n = r.dim
-    grid: list[list[Matrix | None]] = [[None] * n for _ in range(n)]
-    for t in r.terms:
-        diff = diffs[t.letter - 1]
-        rows: dict[int, list[tuple[int, Matrix]]] = {}
-        for (u, l), mat in t.B.items():
-            rows.setdefault(u, []).append((l, tau_embed(2, mat, dims)))
-        for (k, u), mat in t.C.items():
-            if u not in rows:
-                continue
-            left = tau_embed(2, mat, dims) @ diff
-            for l, right in rows[u]:
-                contrib = left @ right
-                grid[k][l] = contrib if grid[k][l] is None else grid[k][l] + contrib
     if n == 0:
         return Matrix.zeros(0, 0, field)
     eye_size = Matrix.identity(size, field)
     zero_size = Matrix.zeros(size, size, field)
-    for k in range(n):
-        for l in range(n):
-            hit = grid[k][l]
-            if k == l:
-                grid[k][l] = eye_size if hit is None else eye_size - hit
-            else:
-                grid[k][l] = zero_size if hit is None else -hit
+    grid = [[eye_size if k == l else zero_size for l in range(n)] for k in range(n)]
+    for (k, u), mat in r.C.items():
+        grid[k][u] = grid[k][u] - tau_embed(2, mat, dims) @ diffs[r.letters[u] - 1]
     return block_matrix(grid)
 
 
@@ -295,87 +272,40 @@ def real_domain_contains(r: Realization, a: Sequence[Matrix]) -> bool:
     return _det_nonzero(_amplified_pencil(r, a))
 
 
-def _structural_edges(r: Realization) -> set[tuple[int, int]]:
-    """(k, l) pairs where the pencil actually couples coordinate l into k.
-
-    The (k, l) block of the pencil is x -> sum C[k,u] x B[u,l] over the
-    terms of each letter; that map vanishes exactly when the matching sum
-    of Kronecker products does, so cancellations across terms are honored.
-    """
-    sums: dict[tuple[int, int, int], Matrix] = {}
-    for t in r.terms:
-        rows: dict[int, list[tuple[int, Matrix]]] = {}
-        for (u, l), mat in t.B.items():
-            rows.setdefault(u, []).append((l, mat))
-        for (k, u), cmat in t.C.items():
-            for l, bmat in rows.get(u, ()):
-                key = (t.letter, k, l)
-                piece = kron(cmat, bmat.transpose())
-                sums[key] = sums[key] + piece if key in sums else piece
-    return {(k, l) for (_i, k, l), mat in sums.items() if not mat.is_zero()}
-
-
-def _closure(start: set[int], edges: set[tuple[int, int]], forward: bool) -> set[int]:
-    out = set(start)
-    changed = True
-    while changed:
-        changed = False
-        for k, l in edges:
-            src, dst = (k, l) if forward else (l, k)
-            if src in out and dst not in out:
-                out.add(dst)
-                changed = True
+def _closure(start: set[int], step: dict[int, list[int]]) -> set[int]:
+    out, todo = set(start), list(start)
+    while todo:
+        for nxt in step.get(todo.pop(), ()):
+            if nxt not in out:
+                out.add(nxt)
+                todo.append(nxt)
     return out
-
-
-def _restrict(r: Realization, keep: set[int]) -> Realization:
-    """Cut the state space down to `keep`, splitting terms whose inner
-    summation index falls outside it (the split term routes that single
-    product through block coordinate 0 of the reduced space)."""
-    order = sorted(keep)
-    pos = {old: new for new, old in enumerate(order)}
-    c = tuple(r.c[k] for k in order)
-    b = tuple(r.b[k] for k in order)
-    terms = []
-    for t in r.terms:
-        kept_C = {(pos[k], pos[u]): mat for (k, u), mat in t.C.items()
-                  if k in keep and u in keep}
-        kept_B = {(pos[u], pos[l]): mat for (u, l), mat in t.B.items()
-                  if u in keep and l in keep}
-        if kept_C and kept_B:
-            terms.append(PencilTerm(t.letter, kept_C, kept_B))
-        inner = {u for (_k, u) in t.C if u not in keep} & {u for (u, _l) in t.B}
-        for u in sorted(inner):
-            col = {(pos[k], 0): mat for (k, u2), mat in t.C.items()
-                   if u2 == u and k in keep}
-            row = {(0, pos[l]): mat for (u2, l), mat in t.B.items()
-                   if u2 == u and l in keep}
-            if col and row:
-                terms.append(PencilTerm(t.letter, col, row))
-    return Realization(r.m, r.p, len(order), c, b, tuple(terms))
 
 
 def real_reduce(r: Realization) -> Realization:
     """Drop block coordinates that cannot influence the evaluation.
 
-    Stage one keeps the coordinates reachable from the support of b along
-    structural pencil couplings, stage two the ones observable from c
-    within the survivors.  Evaluations agree with the original wherever
-    both pencils are nonsingular; the block dimension never grows.
+    Keeps the coordinates that both reach the support of b and are observed
+    from the support of c along the nonzero blocks of C, in one restriction:
+    a coordinate on a path between two kept ones is itself kept, so the
+    result is already reduced.  Evaluations agree with the original wherever
+    both pencils are nonsingular; the block dimension never grows, and r
+    itself comes back when nothing is dropped.
     """
-    changed = True
-    while changed:
-        changed = False
-        all_coords = set(range(r.dim))
-        reach = _closure({k for k in all_coords if not r.b[k].is_zero()},
-                         _structural_edges(r), forward=False)
-        if reach != all_coords:
-            r = _restrict(r, reach)
-            changed = True
-        all_coords = set(range(r.dim))
-        observe = _closure({k for k in all_coords if not r.c[k].is_zero()},
-                           _structural_edges(r), forward=True)
-        if observe != all_coords:
-            r = _restrict(r, observe)
-            changed = True
-    return r
+    feeds: dict[int, list[int]] = {}  # u -> the coordinates k that block (k, u) couples u into
+    reads: dict[int, list[int]] = {}  # k -> the coordinates u it reads through block (k, u)
+    for (k, u), mat in r.C.items():
+        if not mat.is_zero():
+            feeds.setdefault(u, []).append(k)
+            reads.setdefault(k, []).append(u)
+    keep = (_closure({k for k, bk in enumerate(r.b) if not bk.is_zero()}, feeds)
+            & _closure({k for k, ck in enumerate(r.c) if not ck.is_zero()}, reads))
+    if len(keep) == r.dim:
+        return r
+    order = sorted(keep)
+    pos = {old: new for new, old in enumerate(order)}
+    return Realization(r.m, r.p, len(order),
+                       tuple(r.c[k] for k in order), tuple(r.b[k] for k in order),
+                       {pos[u]: letter for u, letter in r.letters.items() if u in keep},
+                       {(pos[k], pos[u]): mat for (k, u), mat in r.C.items()
+                        if k in keep and u in keep})

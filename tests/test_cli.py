@@ -133,6 +133,39 @@ def test_realize_outside_domain(tmp_path, capsys):
     assert rep["status"] == "undefined"
 
 
+REALIZE_GOLDEN = [
+    ("inv(X1_1)", "1:1", {"dims": [1], "parts": [[["2"]]]},
+     '{"m":1,"dim":3,"reduced_dim":2,"realization":{"m":1,"dim":2,"rho":1,'
+     '"p":[["2"]],"c":[["1"],["0"]],"b":[["1/2"],["-1/2"]],'
+     '"terms":[{"letter":1,"C":{"0,1":["1/2"],"1,1":["-1/2"]},"B":{"1,1":["1"]}}]}}\n'),
+    ("X1_1 * X1_2 + 1", "1:2",
+     {"dims": [2], "parts": [[["1", "2", "3", "4"], ["0", "1", "-1", "1/2"]]]},
+     '{"m":2,"dim":5,"reduced_dim":4,"realization":{"m":2,"dim":4,"rho":2,'
+     '"p":[["1","2","3","4"],["0","1","-1","1/2"]],'
+     '"c":[["1","0","0","1"],["0","0","0","0"],["0","0","0","0"],["1","0","0","1"]],'
+     '"b":[["-2","2","-4","5"],["0","1","-1","1/2"],["1","0","0","1"],["1","0","0","1"]],'
+     '"terms":[{"letter":1,"C":{"0,1":["1","0","0","1"]},"B":{"1,1":["1","0","0","1"]}},'
+     '{"letter":2,"C":{"0,2":["1","2","3","4"],"1,2":["1","0","0","1"]},'
+     '"B":{"2,2":["1","0","0","1"]}}]}}\n'),
+    ("X1_1 + X1_1", "1:2", {"dims": [1], "parts": [[["3"], ["-5/2"]]]},
+     '{"m":1,"dim":4,"reduced_dim":4,"realization":{"m":1,"dim":4,"rho":2,'
+     '"p":[["3"],["-5/2"]],"c":[["1"],["0"],["1"],["0"]],"b":[["3"],["1"],["3"],["1"]],'
+     '"terms":[{"letter":1,"C":{"0,1":["1"]},"B":{"1,1":["1"]}},'
+     '{"letter":1,"C":{"2,3":["1"]},"B":{"3,3":["1"]}}]}}\n'),
+]
+
+
+def test_realize_prints_pinned_blocks(tmp_path, capsys):
+    # the full printed realization, blocks and rho included, stays byte-identical
+    for i, (text, alphabet, base, want) in enumerate(REALIZE_GOLDEN):
+        expr = w(tmp_path, f"e{i}.expr", text)
+        point = wj(tmp_path, f"b{i}.json", base)
+        code, out, _ = run(capsys, "realize", "--alphabet", alphabet,
+                           "--expr", expr, "--base-point", point)
+        assert code == 0
+        assert out == want
+
+
 def test_bf_eval_cross_family_commutator(tmp_path, capsys):
     rng = random.Random("cli-bf")
     def flat():

@@ -12,7 +12,6 @@ from mprat.matrix_kernel import QQ, Matrix, inv_det, scalar_matrix
 from mprat.realization import (
     BasePointOutsideDomain,
     PencilSingular,
-    PencilTerm,
     Realization,
     real_domain_contains,
     real_evaluate,
@@ -118,9 +117,7 @@ def test_no_stored_block_is_zero(m):
             except BasePointOutsideDomain:
                 continue
             for real in (r, real_reduce(r)):
-                for t in real.terms:
-                    for blocks in (t.C, t.B):
-                        assert not any(mat.is_zero() for mat in blocks.values())
+                assert not any(mat.is_zero() for mat in real.C.values())
                 checked += 1
     assert checked >= 80
 
@@ -258,12 +255,12 @@ def test_reduce_strips_explicit_padding():
     p = rand_base(rng, ab, 2)
     r = realize(e, ab, p)
     n = r.dim
-    eye = Matrix.identity(2)
     padded = Realization(
         r.m, r.p, n + 1,
         r.c + (Matrix.zeros(2, 2),),
-        r.b + (eye,),
-        r.terms + (PencilTerm(1, {(n, n): rand_matrix(rng, 2)}, {(n, n): eye}),),
+        r.b + (Matrix.identity(2),),
+        r.letters | {n: 1},
+        r.C | {(n, n): rand_matrix(rng, 2)},
     )
     reduced = real_reduce(padded)
     assert reduced.dim < padded.dim
@@ -301,8 +298,7 @@ def test_reduce_monotone_and_idempotent_on_corpus():
         assert r is not None
         r1 = real_reduce(r)
         assert r1.dim <= r.dim
-        r2 = real_reduce(r1)
-        assert r2.dim == r1.dim
+        assert real_reduce(r1) is r1
         for _ in range(3):
             a = tuple(rand_matrix(rng, 2, bound=4) for _ in range(4))
             v0 = real_evaluate(r, a)
@@ -312,11 +308,21 @@ def test_reduce_monotone_and_idempotent_on_corpus():
 
 def test_realization_validation():
     eye = Matrix.identity(2)
+    Realization(2, (eye,), 1, (eye,), (eye,), {0: 1}, {(0, 0): eye})
     with pytest.raises(ValueError):
-        Realization(2, (eye,), 1, (eye,), (eye, eye), ())
+        Realization(2, (eye,), 1, (eye,), (eye, eye), {}, {})
+    # letter out of range
     with pytest.raises(ValueError):
-        Realization(2, (eye,), 1, (eye,), (eye,),
-                    (PencilTerm(2, {(0, 0): eye}, {(0, 0): eye}),))
+        Realization(2, (eye,), 1, (eye,), (eye,), {0: 2}, {(0, 0): eye})
+    # block column out of range
     with pytest.raises(ValueError):
-        Realization(2, (eye,), 1, (eye,), (eye,),
-                    (PencilTerm(1, {(0, 1): eye}, {(0, 0): eye}),))
+        Realization(2, (eye,), 1, (eye,), (eye,), {0: 1}, {(0, 1): eye})
+    # block row out of range
+    with pytest.raises(ValueError):
+        Realization(2, (eye,), 1, (eye,), (eye,), {0: 1}, {(1, 0): eye})
+    # block in a column that carries no letter
+    with pytest.raises(ValueError):
+        Realization(2, (eye,), 2, (eye, eye), (eye, eye), {0: 1}, {(0, 1): eye})
+    # letter coordinate at or beyond dim
+    with pytest.raises(ValueError):
+        Realization(2, (eye,), 1, (eye,), (eye,), {1: 1}, {})
