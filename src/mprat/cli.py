@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .calculus import delta
 from .evaluation import BfPoint, MpPoint, Undefined, bf_evaluate, mp_evaluate
-from .expression import Alphabet, format_expr, parse
+from .expression import Alphabet, _format_roots, format_expr, parse
 from .identity import (
     ExactZero,
     NonzeroWitness,
@@ -161,6 +161,13 @@ def undefined_report(u: Undefined) -> dict:
     return {"status": "undefined",
             "path": list(u.path),
             "subexpression": format_expr(u.subexpr)}
+
+
+def format_entries(m: ExprMatrix) -> list[list[str]]:
+    """The printed entries of m, row by row, written through one memo: a
+    subexpression shared by several entries is written once."""
+    texts = iter(_format_roots([e for row in m.entries for e in row]))
+    return [[next(texts) for _ in row] for row in m.entries]
 
 
 def dump_realization(r: Realization) -> dict:
@@ -332,7 +339,7 @@ def cmd_mat_inv(ns) -> tuple[dict, int]:
                 "trials": cfg.trials_per_level}, 1
     return {"status": "ok",
             "d": m.d,
-            "entries": [[format_expr(x) for x in row] for row in res.matrix.entries],
+            "entries": format_entries(res.matrix),
             "pivots": [{"depth": r.depth, "row": r.row, "col": r.col,
                         "level": r.witness.level, "trial": r.witness.trial}
                        for r in res.pivots]}, 0
@@ -359,7 +366,7 @@ def cmd_partial_eval(ns) -> tuple[dict, int]:
     return {"status": "ok",
             "d": s.d,
             "parts": list(s.alphabet.sizes),
-            "entries": [[format_expr(x) for x in row] for row in s.entries]}, 0
+            "entries": format_entries(s)}, 0
 
 
 # -- wiring -------------------------------------------------------------------

@@ -198,14 +198,23 @@ def _slot_letters(point: NcPoint | MpPoint | BfPoint):
 class Evaluator:
     """Bottom-up evaluator over one point, memoizing shared subtrees.
 
-    Reusable across expressions over the same point (matrix_rational
-    evaluates whole expression matrices through one instance).  The memo
-    maps id(node) to (node, value); holding the node keeps its id from
-    being reused by a later expression.  The value is a field element c
-    standing for c * I when the subtree has no letters, a pair (slots, M) of
-    the sorted tensor slots its letters touch and a matrix M on them, or
-    None for an inverse of a singular value.  ``n`` is the size of a root
-    value, the product of the slot sizes.
+    Reusable across expressions over the same point: matrix_rational
+    evaluates whole expression matrices, and every pivot test of one Schur
+    recursion at one sample point, through one instance.  The memo maps
+    id(node) to (node, value); holding the node keeps its id from being
+    reused by a later expression.  The value is a field element c standing
+    for c * I when the subtree has no letters, a pair (slots, M) of the
+    sorted tensor slots its letters touch and a matrix M on them, or None
+    for an inverse of a singular value.  ``n`` is the size of a root value,
+    the product of the slot sizes.
+
+    A run does not enter a memoized subtree whose value is defined: walk
+    gets the ids of the defined values as its ``seen`` set.  Every node
+    below a defined one is defined, because a run stops at the first None
+    and never computes that node's parents.  So the skipped nodes hold no
+    None, and the first Undefined in walk order, with its path, is the one
+    a full walk would meet.  An id whose value is None, or whose letter is
+    missing from the point, leaves the set again.
     """
 
     def __init__(self, point: NcPoint | MpPoint | BfPoint):
@@ -217,6 +226,7 @@ class Evaluator:
         self.lookup = {(v.part, v.index, v.primed): val
                        for v, val in zip(self.alphabet.letters(), values)}
         self.memo: dict[int, tuple[Expr, object]] = {}
+        self.defined: set[int] = set()
 
     def run(self, e: Expr) -> Matrix | Undefined:
         """Value of e, or the Undefined of the first singular inverse in walk
@@ -230,16 +240,18 @@ class Evaluator:
             # a slot of size 0: every value is 0x0, and so is every inverse
             validate_vars(e, self.alphabet)
             return Matrix.zeros(0, 0, self.field)
-        memo = self.memo
-        for node in walk(e):
+        memo, defined = self.memo, self.defined
+        for node in walk(e, seen=defined):
             hit = memo.get(id(node))
             if hit is None:
                 try:
                     hit = memo[id(node)] = (node, self._value(node))
                 except KeyError:  # a letter missing from the point
+                    defined.discard(id(node))
                     validate_vars(e, self.alphabet)
                     raise
             if hit[1] is None:
+                defined.discard(id(node))
                 validate_vars(e, self.alphabet)
                 return Undefined(node, _path_to(e, node))
         v = memo[id(e)][1]

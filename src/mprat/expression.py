@@ -61,6 +61,14 @@ class Alphabet:
             raise ValueError("every part needs at least one letter")
         if not all(1 <= p <= len(self.sizes) for p in self.primed_parts):
             raise ValueError("primed part out of range")
+        # computed once; attributes, not fields, so ==, hash and repr ignore them
+        slots = tuple((part, primed) for part in range(1, len(self.sizes) + 1)
+                      for primed in (True, False)
+                      if not primed or part in self.primed_parts)
+        object.__setattr__(self, "_slots", slots)
+        object.__setattr__(self, "_letters", tuple(
+            Var(part, j, primed) for part, primed in slots
+            for j in range(1, self.sizes[part - 1] + 1)))
 
     @property
     def parts(self) -> int:
@@ -71,22 +79,14 @@ class Alphabet:
 
     def slots(self) -> tuple[tuple[int, bool], ...]:
         """Evaluation slot order: parts ascending, primed copy before plain."""
-        out = []
-        for part in range(1, self.parts + 1):
-            if part in self.primed_parts:
-                out.append((part, True))
-            out.append((part, False))
-        return tuple(out)
+        return self._slots
 
     def slot_index(self, part: int, primed: bool) -> int:
-        return self.slots().index((part, primed))
+        return self._slots.index((part, primed))
 
     def letters(self) -> tuple["Var", ...]:
         """All variables in slot-major, index-minor order (the flat order)."""
-        out = []
-        for part, primed in self.slots():
-            out.extend(Var(part, j, primed) for j in range(1, self.size_of(part) + 1))
-        return tuple(out)
+        return self._letters
 
     def with_primed(self, part: int) -> "Alphabet":
         if not 1 <= part <= self.parts:
@@ -293,11 +293,20 @@ def _path_to(root: Expr, target: Expr) -> tuple[int, ...]:
 _EMIT = object()
 
 
-def walk(e: Expr) -> Iterator[Expr]:
-    """Every node of e once, children left to right and before their parents;
-    a shared subtree at its first occurrence.  Uses no recursion."""
-    seen: set[int] = set()
-    stack: list = [e]
+def walk(*roots: Expr, seen: set[int] | None = None) -> Iterator[Expr]:
+    """Every node of the roots once, children left to right and before their
+    parents, the roots in order; a shared subtree at its first occurrence.
+    Uses no recursion.
+
+    Each node's id is added to ``seen`` as the node is yielded, and a node
+    whose id is already there is not entered.  A caller may pass its own
+    set: one set across several walks yields each node once in all of them,
+    and ids put there in advance prune those nodes' subtrees, except for
+    the descendants that another path still reaches.
+    """
+    if seen is None:
+        seen = set()
+    stack: list = list(reversed(roots))
     while stack:
         node = stack.pop()
         if node is _EMIT:
@@ -329,7 +338,12 @@ def inversion_height(e: Expr) -> int:
 
 def validate_vars(e: Expr, alphabet: Alphabet) -> None:
     """Raise if any variable does not fit the alphabet."""
-    for node in walk(e):
+    _validate_nodes(walk(e), alphabet)
+
+
+def _validate_nodes(nodes: Iterable[Expr], alphabet: Alphabet) -> None:
+    # validate_vars over the given nodes: the first misfit met is reported
+    for node in nodes:
         if isinstance(node, Var):
             if not 1 <= node.part <= alphabet.parts:
                 raise ValueError(f"variable X{node.part}_{node.index}: alphabet has "
@@ -501,15 +515,24 @@ def format_expr(e: Expr) -> str:
     the node's ``id``; the nodes stay alive for the call, so no id is
     reused.  Wherever a stored node recurs its text is copied whole.
     Unshared nodes are never stored, so the work is linear in the output
-    plus the nodes of the DAG.
+    plus the nodes of the DAG.  ``_format_roots`` prints several roots, such
+    as the entries of an expression matrix, through one such memo.
     """
-    nodes = list(walk(e))
+    return _format_roots((e,))[0]
+
+
+def _format_roots(roots: Sequence[Expr]) -> list[str]:
+    """format_expr of each root, with one memo across all of them: each root
+    counts as one more reference, so a node shared between roots, or a root
+    that is also a node of another root, is written once per call."""
+    nodes = list(walk(*roots))
     refs = Counter(id(c) for node in nodes for c in _children(node))
+    refs.update(id(r) for r in roots)
     memo: dict[int, str] = {}
     for node in nodes:
         if refs[id(node)] > 1:
             memo[id(node)] = _write(node, memo)
-    return _write(e, memo)
+    return [_write(r, memo) for r in roots]
 
 
 def _write(e: Expr, memo: dict[int, str]) -> str:

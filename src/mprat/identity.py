@@ -116,14 +116,15 @@ def _points(alphabet: Alphabet, cfg: TestConfig, top: int):
 
 
 def _scan(value_at, alphabet: Alphabet, cfg: TestConfig) -> ZeroVerdict:
-    # value_at maps a point to a Matrix or an Undefined.  Every trial of a
-    # level is evaluated before the level's verdict, so the determinant
-    # self-check (see the module docstring) sees all of its defined values.
+    # value_at(trial, a) is the Matrix or Undefined at the trial-th point a
+    # of its level.  Every trial of a level is evaluated before the level's
+    # verdict, so the determinant self-check (see the module docstring) sees
+    # all of its defined values.
     first_undef: Undefined | None = None
     decided = 0
     nonzero = []
     for level, trial, a in _points(alphabet, cfg, cfg.max_level):
-        v = value_at(a)
+        v = value_at(trial, a)
         if isinstance(v, Undefined):
             if first_undef is None:
                 first_undef = v
@@ -147,14 +148,15 @@ def _scan(value_at, alphabet: Alphabet, cfg: TestConfig) -> ZeroVerdict:
 
 
 def _hunt_polynomial_witness(e: Expr, alphabet: Alphabet, cfg: TestConfig,
-                             guarantee_level: int) -> NonzeroWitness:
+                             guarantee_level: int, evaluate) -> NonzeroWitness:
     top = max(cfg.max_level, guarantee_level)
     for level, trial, a in _points(alphabet, cfg, top):
-        v = mp_evaluate(e, a)
+        v = evaluate(e, trial, a)
         if not v.is_zero():
             return NonzeroWitness(a, v, level, trial)
     # the nonzero locus at the guarantee level is dense; widen the entry
-    # range until a sample lands in it
+    # range until a sample lands in it; these points are not sample_point's,
+    # so they are not evaluate's either
     bound = cfg.entry_bound
     trial = cfg.trials_per_level
     dims = (top,) * len(alphabet.slots())
@@ -170,14 +172,23 @@ def _hunt_polynomial_witness(e: Expr, alphabet: Alphabet, cfg: TestConfig,
 
 def is_zero(e: Expr, alphabet: Alphabet, cfg: TestConfig | None = None) -> ZeroVerdict:
     """Zero-test: exact for inverse-free input, level-scanned otherwise."""
-    cfg = cfg or TestConfig()
+    # mp_evaluate is looked up per call, so a wrapper bound in its place is used
+    return _zero_test(e, alphabet, cfg or TestConfig(),
+                      lambda x, trial, a: mp_evaluate(x, a))
+
+
+def _zero_test(e: Expr, alphabet: Alphabet, cfg: TestConfig, evaluate) -> ZeroVerdict:
+    """is_zero, with evaluate(e, trial, a) giving the value of e at the point
+    a = sample_point(alphabet, a.dims, cfg, trial).  A caller may thus keep
+    one evaluator per (dims, trial) across many zero tests with one
+    alphabet and one cfg."""
     if inversion_height(e) == 0:
         nf = poly_normal_form(e, alphabet)
         if nf.is_zero():
             return ExactZero()
         return _hunt_polynomial_witness(e, alphabet, cfg,
-                                        nf.max_slot_degree() // 2 + 1)
-    return _scan(lambda a: mp_evaluate(e, a), alphabet, cfg)
+                                        nf.max_slot_degree() // 2 + 1, evaluate)
+    return _scan(lambda trial, a: evaluate(e, trial, a), alphabet, cfg)
 
 
 def equivalent(e1: Expr, e2: Expr, alphabet: Alphabet,
@@ -192,7 +203,7 @@ def equivalent(e1: Expr, e2: Expr, alphabet: Alphabet,
     if inversion_height(e1) == 0 and inversion_height(e2) == 0:
         return is_zero(expr_sum([e1, expr_neg(e2)]), alphabet, cfg)
 
-    def difference(a: MpPoint) -> Matrix | Undefined:
+    def difference(trial: int, a: MpPoint) -> Matrix | Undefined:
         v1 = mp_evaluate(e1, a)
         if isinstance(v1, Undefined):
             return v1

@@ -5,6 +5,10 @@ skew field of rational functions exactly when some blockwise evaluation of
 it is an invertible scalar matrix.  matrix_invertible hunts for such a
 point; matrix_inverse_expr builds the symbolic inverse by pivoted Schur
 recursion, logging the nonzero certificate of every pivot it commits to.
+Its pivot tests all sample the same points, since a point is a pure
+function of (seed, dims, trial): one Evaluator per (dims, trial) serves the
+whole recursion, so the subexpressions that candidate entries share are
+evaluated once per point.
 
 partial_evaluate substitutes constant d-by-d matrices for the part-1
 letters of an expression, turning it into an ExprMatrix over the remaining
@@ -29,15 +33,17 @@ from .expression import (
     Product,
     Sum,
     Var,
+    _validate_nodes,
     expr_neg,
     expr_product,
     expr_sum,
     fold,
     inverse_of,
     validate_vars,
+    walk,
 )
-from .identity import NonzeroWitness, TestConfig, _points, is_zero
-# det stays bound here for perfbench/tracing.py, which wraps it by name
+# is_zero and det stay bound here for perfbench/tracing.py, which wraps them by name
+from .identity import NonzeroWitness, TestConfig, _points, _zero_test, is_zero  # noqa: F401
 from .matrix_kernel import Matrix, _det_nonzero, block_matrix, det  # noqa: F401
 
 
@@ -53,11 +59,11 @@ class ExprMatrix:
         d = len(self.entries)
         if d < 1:
             raise ValueError("matrix must have at least one row")
-        for row in self.entries:
-            if len(row) != d:
-                raise ValueError("matrix must be square")
-            for e in row:
-                validate_vars(e, self.alphabet)
+        if any(len(row) != d for row in self.entries):
+            raise ValueError("matrix must be square")
+        # one walk over all entries: its first misfit lies in the row-major
+        # first entry that has one
+        _validate_nodes(walk(*(e for row in self.entries for e in row)), self.alphabet)
 
     @property
     def d(self) -> int:
@@ -142,12 +148,13 @@ def _schur_inverse(
     cfg: TestConfig,
     depth: int,
     log: list[PivotRecord],
+    evaluate,
 ) -> list[list[Expr]]:
     d = len(entries)
     pivot = None
     for r in range(d):
         for c in range(d):
-            verdict = is_zero(entries[r][c], alphabet, cfg)
+            verdict = _zero_test(entries[r][c], alphabet, cfg, evaluate)
             if isinstance(verdict, NonzeroWitness):
                 pivot = (r, c, verdict)
                 break
@@ -176,7 +183,7 @@ def _schur_inverse(
         ]
         for i in range(d - 1)
     ]
-    sinv = _schur_inverse(schur, alphabet, cfg, depth + 1, log)
+    sinv = _schur_inverse(schur, alphabet, cfg, depth + 1, log, evaluate)
 
     corner = expr_sum([
         ainv,
@@ -219,9 +226,19 @@ def matrix_inverse_expr(m: ExprMatrix, cfg: TestConfig | None = None) -> SchurIn
     output entries are not simplified beyond constant folding.
     """
     cfg = cfg or TestConfig()
+    # sound keys: this call has one alphabet and one cfg, and a sample point
+    # is a pure function of (cfg.seed, dims, trial)
+    evaluators: dict[tuple[tuple[int, ...], int], Evaluator] = {}
+
+    def evaluate(e: Expr, trial: int, a: MpPoint) -> Matrix | Undefined:
+        ev = evaluators.get((a.dims, trial))
+        if ev is None:
+            ev = evaluators[a.dims, trial] = Evaluator(a)
+        return ev.run(e)
+
     log: list[PivotRecord] = []
     rows = [list(row) for row in m.entries]
-    inv = _schur_inverse(rows, m.alphabet, cfg, 0, log)
+    inv = _schur_inverse(rows, m.alphabet, cfg, 0, log, evaluate)
     return SchurInverse(ExprMatrix(m.alphabet, tuple(tuple(r) for r in inv)), tuple(log))
 
 

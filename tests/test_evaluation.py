@@ -174,6 +174,49 @@ def test_reused_evaluator_checks_letters_after_memoized_subtrees():
     assert ev.run(Sum((square, Var(1, 1)))) == ev.run(square) + ev.point.mats[0]
 
 
+def test_one_evaluator_over_shared_expressions_matches_fresh_evaluations():
+    # a run skips memoized subtrees whose value is defined; the values, the
+    # first Undefined and its path must still be those of a fresh
+    # evaluation, also after runs that ended in an Undefined or a bad letter
+    ab = Alphabet((2, 1))
+    point = MpPoint(ab, ((Matrix.of(QQ, [[1, 2], [3, 4]]), Matrix.identity(2)),
+                         (Matrix.of(QQ, [[5]]),)))
+    x, y, z = Var(1, 1), Var(1, 2), Var(2, 1)
+    s = Sum((x, z))
+    inv_s = Inverse(s)
+    left = Product((inv_s, x))
+    bad = Inverse(Sum((y, Const(F(-1)))))  # X1_2 is I at the point
+    exprs = [s, inv_s, left, Sum((left, Product((bad, s)))), bad, Product((s, bad)),
+             Sum((s, inv_s)), Product((left, inv_s, s))]
+    ev = Evaluator(point)
+    for e in exprs:
+        got, want = ev.run(e), mp_evaluate(e, point)
+        if isinstance(want, Undefined):
+            assert isinstance(got, Undefined)
+            assert got.subexpr is want.subexpr is bad
+            assert got.path == want.path
+        else:
+            assert got == want
+    assert [v.path for v in map(ev.run, exprs) if isinstance(v, Undefined)] == [
+        (1, 0), (), (1,)]
+
+    # a failed letter lookup leaves no id behind: the letter fails again on
+    # its own, and the ids of the dropped nodes are free for new ones
+    stray = Var(1, 3)
+    with pytest.raises(ValueError, match="part 1 has 2 letters"):
+        ev.run(Sum((s, Product((x, Var(1, 3))))))
+    with pytest.raises(ValueError, match="part 1 has 2 letters"):
+        ev.run(Product((s, stray)))
+    with pytest.raises(ValueError, match="part 1 has 2 letters"):
+        ev.run(stray)
+    assert isinstance(ev.run(Product((x, Inverse(Sum((y, Const(F(-1)))))))), Undefined)
+    assert isinstance(ev.run(bad), Undefined)
+    wrong = [k for k in range(200)
+             for e in [parse(f"X1_1 * X2_1 + {k} * X1_2", ab)]
+             if ev.run(e) != mp_evaluate(e, point)]
+    assert wrong == []
+
+
 def test_nc_evaluate_against_reference():
     rng = random.Random("nc-ref")
     for _ in range(25):

@@ -15,6 +15,7 @@ from mprat.expression import (
     Product,
     Sum,
     Var,
+    _format_roots,
     expr_neg,
     expr_product,
     expr_sum,
@@ -26,6 +27,9 @@ from mprat.expression import (
     subexpr_at,
     validate_vars,
 )
+from mprat.identity import TestConfig
+from mprat.matrix_kernel import QQ, Matrix
+from mprat.matrix_rational import ExprMatrix, matrix_inverse_expr, partial_evaluate
 
 F = Fraction
 
@@ -294,6 +298,46 @@ def test_format_root_shared_in_another_expression():
     assert_prints_as_a_tree(r, text)
     assert_prints_as_a_tree(expr_product([r, Var(1, 2), inverse_of(r)]),
                             f"({text}) * X1_2 * inv({text})")
+
+
+def assert_roots_print_alone(roots):
+    # one memo over all roots writes each root as format_expr alone does
+    assert _format_roots(roots) == [format_expr(r) for r in roots]
+
+
+def test_many_roots_print_as_each_root_alone():
+    x, y = Var(1, 1), Var(2, 1)
+    s = parse("X1_1 + 1", AB)
+    p = Product((Const(F(-2)), Var(1, 2)))  # prints " - 2 * X1_2" as a later term
+    c = Const(F(-3, 2))
+    cases = [
+        [s, Product((s, y)), Inverse(s)],  # a root that is a node of later roots
+        [Product((s, y)), expr_neg(s), s],  # ... and of earlier ones
+        [s, s, Sum((x, s))],  # one object as two roots
+        [Sum((x, p)), p, Sum((y, p)), Product((p, x))],  # the split of a stored term
+        [c, Sum((x, c)), Const(F(0)), c],  # constant roots
+        [expr_neg(s), Sum((y, expr_neg(s))), Product((x, expr_neg(s)))],
+    ]
+    for roots in cases:
+        assert_roots_print_alone(roots)
+    q = expr_neg(s)
+    assert _format_roots([Sum((y, q)), q]) == ["X2_1 - (X1_1 + 1)", "-(X1_1 + 1)"]
+
+
+def test_many_roots_print_builder_matrices_as_each_entry_alone():
+    rng = random.Random("many-roots")
+    ab = Alphabet((2,))
+    for d in range(2, 6):
+        rows = [[parse(f"{rng.randint(2, 9)}*X1_1 + {rng.randint(2, 9)}*X1_2 + "
+                       f"{rng.randint(2, 9)}", ab) for _ in range(d)] for _ in range(d)]
+        inv = matrix_inverse_expr(ExprMatrix(ab, rows), TestConfig(seed=d)).matrix
+        assert_roots_print_alone([e for row in inv.entries for e in row])
+    e = parse("inv(X1_1*X2_1 + X1_2) * X1_2 + X2_1*X1_1 - inv(X1_1 + X2_1)",
+              Alphabet((2, 1)))
+    a1 = [Matrix.of(QQ, [[1, 2, 0], [0, 1, 3], [4, 0, 1]]),
+          Matrix.of(QQ, [[2, 0, 1], [1, 3, 0], [0, 1, 2]])]
+    part = partial_evaluate(e, Alphabet((2, 1)), a1, TestConfig())
+    assert_roots_print_alone([e for row in part.entries for e in row])
 
 
 # -- repr -----------------------------------------------------------------------

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import mprat.matrix_rational
 from helpers import rand_invertible, rand_matrix
+from mprat.cli import main
 from mprat.evaluation import MpPoint, mp_evaluate
-from mprat.expression import Alphabet, Const, Inverse, Var, format_expr, parse
-from mprat.identity import NonzeroWitness, TestConfig
+from mprat.expression import Alphabet, Const, Inverse, Sum, Var, format_expr, parse
+from mprat.identity import NonzeroWitness, TestConfig, is_zero, sample_point
 from mprat.matrix_kernel import Matrix, det, inv_det
 from mprat.matrix_rational import (
     ExprMatrix,
@@ -40,6 +42,30 @@ def test_expr_matrix_validation():
         em(AB1, [["X1_1", "X1_2"]])
     with pytest.raises(ValueError):
         em(AB1, [["X1_1", "X3_1"], ["0", "0"]])
+
+
+def test_expr_matrix_names_the_row_major_first_bad_entry():
+    # all entries are checked in one walk; a shared subtree is walked once
+    x, shared = Var(1, 1), parse("X1_1 * X1_2 + 1", AB1)
+    few_parts, big_index = Var(3, 1), Var(1, 3)
+    for first, second, message in [(few_parts, big_index, "alphabet has 1 parts"),
+                                   (big_index, few_parts, "part 1 has 2 letters")]:
+        rows = ((shared, Sum((shared, first))), (second, Sum((x, shared))))
+        with pytest.raises(ValueError, match=message):
+            ExprMatrix(AB1, rows)
+        rows = ((shared, x), (Sum((shared, first)), second))
+        with pytest.raises(ValueError, match=message):
+            ExprMatrix(AB1, rows)
+
+
+def test_mat_inv_bad_entries_message_and_exit_code(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text('{"entries": [["X1_1", "X1_3"], ["X2_1", "1"]]}')
+    assert main(["mat-inv", "--alphabet", "1:2", "--matrix", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path} entry (0,1): syntax error at column 0: "
+                            "index out of range: part 1 has 2 letters\n")
 
 
 def test_matrix_mp_evaluate_blocks():
@@ -151,6 +177,48 @@ def test_pivot_log_witnesses_verify():
     for rec in res.pivots:
         assert isinstance(rec.witness, NonzeroWitness)
         assert not rec.witness.value.is_zero()
+
+
+def _pivot_log(res):
+    return [(r.depth, r.row, r.col, r.witness.level, r.witness.trial, r.witness.value)
+            for r in res.pivots]
+
+
+def test_shared_pivot_evaluators_choose_the_pivots_of_public_is_zero(monkeypatch):
+    # the reference tests every candidate entry through public is_zero, with
+    # a fresh evaluator per trial
+    rng = random.Random("pivots")
+    cases = []
+    for d in (3, 4):
+        rows = [[f"{rng.randint(2, 9)}*X1_1 + {rng.randint(2, 9)}*X1_2 + {rng.randint(2, 9)}"
+                 for _ in range(d)] for _ in range(d)]
+        cases.append((em(AB1, rows), TestConfig(seed=d)))
+    # rows 0 and 1 agree in their first two columns: the first Schur entry
+    # is zero, and only a full sampled scan says so
+    ab = Alphabet((2, 1))
+    cases.append((em(ab, [["X1_1", "X2_1", "1"], ["X1_1", "X2_1", "3"],
+                          ["X1_2", "2", "X1_1"]]), TestConfig(seed=5)))
+    # an entry undefined at the first sample point and one zero at every
+    # 1x1 point: verdicts come from later trials and levels
+    cfg = TestConfig(seed=7)
+    v = sample_point(AB1, (1,), cfg, 0).parts[0][0].entry(0, 0)
+    cases.append((em(AB1, [[f"inv(X1_1 - {v})", "X1_1 * X1_2 - X1_2 * X1_1"], ["1", "0"]]),
+                  cfg))
+    shared = [matrix_inverse_expr(m, cfg) for m, cfg in cases]
+    with monkeypatch.context() as mp:
+        mp.setattr(mprat.matrix_rational, "_zero_test",
+                   lambda e, alphabet, cfg, evaluate: is_zero(e, alphabet, cfg))
+        reference = [matrix_inverse_expr(m, cfg) for m, cfg in cases]
+    for got, want in zip(shared, reference):
+        assert _pivot_log(got) == _pivot_log(want)
+        assert [r.witness.point for r in got.pivots] == [r.witness.point for r in want.pivots]
+        assert got.matrix == want.matrix
+    assert [r.depth for r in shared[2].pivots] == [0, 1, 2]
+    assert shared[2].pivots[1].col == 1  # (0, 0) of the complement was skipped
+    assert [(r.witness.level, r.witness.trial) for r in shared[3].pivots] == [(1, 1), (2, 0)]
+    singular = em(AB1, [["X1_1", "X1_2"], ["2 * X1_1", "2 * X1_2"]])
+    with pytest.raises(NotInvertible, match="depth 1"):
+        matrix_inverse_expr(singular, CFG)
 
 
 def test_not_invertible_raises():

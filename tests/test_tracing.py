@@ -3,15 +3,24 @@
 ``perfbench/tracing.py`` wraps ``Evaluator.run``, reads ``Evaluator.n``
 and wraps ``inv_det`` where ``mprat.evaluation`` binds it, and ``kron``,
 ``inv_det``, ``det`` and ``solve`` where ``mprat.realization`` binds them.
-A change to those names shows only in a traced benchmark run, so these
-tests install the tracer around one evaluation and one realization.
+It also wraps ``is_zero`` and ``det`` where ``mprat.matrix_rational``
+binds them, ``mp_evaluate`` and ``sample_point`` where ``mprat.identity``
+binds them, and ``format_expr`` where ``mprat.cli`` binds it.  A change to
+those names shows only in a traced benchmark run, so these tests install
+the tracer around one evaluation, one realization and one ``mat-inv``
+command.
 """
 
+import contextlib
+import importlib
 import importlib.util
+import io
+import json
 import random
 from pathlib import Path
 
 import mprat
+import mprat.cli
 import mprat.realization
 from helpers import rand_invertible, rand_mp_point
 from mprat.expression import Alphabet, parse
@@ -75,3 +84,35 @@ def test_tracer_sees_realize_invert_without_an_evaluator():
     inside_names = [names[i] for i in sorted(inside)]
     assert inside_names.count("matrix_kernel.inv_det@realization") == 2
     assert "evaluation.run@Evaluator" not in inside_names
+
+
+def test_tracer_installs_around_a_mat_inv_command(tmp_path):
+    tracing = load_tracing()
+    bound = {(mod, name): getattr(importlib.import_module(mod), name)
+             for mod, names in tracing.SITES.items() for name in names}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"entries": [["X1_1", "inv(X1_2) + 1"],
+                                            ["2", "X1_1 * X1_2"]]}))
+    run = mprat.evaluation.Evaluator.run
+    argv = ["mat-inv", "--alphabet", "1:2", "--matrix", str(path)]
+
+    def mat_inv():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = mprat.cli.main(argv)
+        return code, out.getvalue()
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = mat_inv()
+    finally:
+        tracer.uninstall()
+    assert all(getattr(importlib.import_module(mod), name) is fn
+               for (mod, name), fn in bound.items())
+    assert mprat.evaluation.Evaluator.run is run
+    assert traced == mat_inv()
+    assert traced[0] == 0
+    names = {name for name, _, _, _ in tracer.spans}
+    assert "cli.main@cli" in names
+    assert names & {"identity.is_zero@matrix_rational", "evaluation.run@Evaluator"}
