@@ -12,6 +12,7 @@ stdout).
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -389,7 +390,9 @@ def _add_config(p):
     p.add_argument("--seed", type=int, default=0, metavar="S")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="mprat",
         description="Exact evaluation and identity testing for multipartite "

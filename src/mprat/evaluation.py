@@ -285,8 +285,8 @@ class Evaluator:
         scalar_op into one scalar that apply puts on the matrix once; a
         scalar when no kid has letters.
 
-        ``unit`` is the int 0 or 1: every field's zero and one equal them,
-        and a ``Fraction`` compares with an int faster than with another
+        ``unit`` is the int 0 or 1, which the field's zero and one equal; a
+        ``Fraction`` compares with an int faster than with another
         ``Fraction``.
         """
         memo = self.memo
@@ -402,8 +402,8 @@ def tau_point_of_nc(b: NcPoint) -> NcPoint:
     """b's letters grouped by alphabet slot into an MpPoint, n by n on every
     slot, and embedded by tau_point into (n, …, n).  For a commuting tuple
     this is the point the collapse map relates back to b."""
-    slots = b.alphabet.slots()
-    parts: list[list[Matrix]] = [[] for _ in slots]
-    for v, m in zip(b.alphabet.letters(), b.mats):
-        parts[slots.index((v.part, v.primed))].append(m)
-    return tau_point(MpPoint(b.alphabet, tuple(map(tuple, parts))))
+    ab = b.alphabet
+    parts: list[list[Matrix]] = [[] for _ in ab.slots()]
+    for v, m in zip(ab.letters(), b.mats):
+        parts[ab.slot_index(v.part, v.primed)].append(m)
+    return tau_point(MpPoint(ab, tuple(map(tuple, parts))))

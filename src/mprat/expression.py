@@ -636,11 +636,6 @@ class PolyNormalForm:
             return 0
         return max(max(len(w) for w in mono) for mono in self.terms)
 
-    def sorted_items(self) -> list[tuple[Monomial, Fraction]]:
-        """Deterministic order: slot by slot, shorter words first, then lex."""
-        return sorted(self.terms.items(),
-                      key=lambda kv: tuple((len(w), w) for w in kv[0]))
-
     def __repr__(self) -> str:
         return f"PolyNormalForm({self.terms!r})"
 
@@ -667,15 +662,14 @@ def poly_normal_form(e: Expr, alphabet: Alphabet) -> PolyNormalForm:
     functions exactly.
     """
     validate_vars(e, alphabet)
-    slots = alphabet.slots()
-    ns = len(slots)
+    ns = len(alphabet.slots())
     one: Monomial = tuple(() for _ in range(ns))
 
     def rule(node: Expr, kids: list[dict]) -> dict:
         if isinstance(node, Const):
             return {one: node.value} if node.value else {}
         if isinstance(node, Var):
-            s = slots.index((node.part, node.primed))
+            s = alphabet.slot_index(node.part, node.primed)
             return {tuple((node.index,) if k == s else () for k in range(ns)): _F1}
         if isinstance(node, Sum):
             out: dict[Monomial, Fraction] = {}

@@ -1,36 +1,36 @@
-"""Exact dense linear algebra with Kronecker-product structure.
+"""Exact dense linear algebra over the rationals, with Kronecker-product
+structure.
 
 Matrices are dense, immutable by convention after construction, and carry
-the field they live over: arbitrary-precision rationals (``QQ``) or a prime
-field ``PrimeField(p)`` meant for fast randomized experiments.  All
-arithmetic is exact; singularity is reported, never approximated.
+the field they live over: ``QQ``, the arbitrary-precision rationals, which
+is the kernel's one field.  All arithmetic is exact; singularity is
+reported, never approximated.
 
-Field elements are plain values (``fractions.Fraction`` over the rationals,
-canonical ``int`` residues modulo p) and the field object supplies the
-operations.  Matrices refuse to combine operands over different fields.
+Field elements are ``fractions.Fraction`` values and the field object
+supplies the operations.  Matrices refuse to combine operands over
+different fields.
 
 A matrix stores integer rows ``num`` over one positive denominator ``den``
-in its field's canonical form (over QQ gcd(den, entries) = 1; over GF(p)
-residues in [0, p) over den 1), so ``==`` compares ``den`` and ``num``.
-Field values exist only at the boundary: the field's ``lift`` turns them
-into (num, den), its ``value`` turns entries back for ``data``, ``entry``
-and ``flat``.  Sums, products, scalings and Kronecker products compute on
-the integers and call the field's ``normalise`` once (a gcd pass over QQ,
-mod p over GF(p)); transposes and slot embeddings only move entries.
+with gcd(den, entries) = 1, so ``==`` compares ``den`` and ``num``.
+Fractions exist only at the boundary: ``QQ.lift`` turns them into
+(num, den), ``QQ.value`` turns entries back for ``data``, ``entry`` and
+``flat``.  Sums, products, scalings and Kronecker products compute on the
+integers and call ``QQ.normalise`` once (a gcd pass); transposes and slot
+embeddings only move entries.
 
-Each field owns its one elimination, ``solve_det(a, b) -> ((num, den) |
-None, det)``, which solves ``A X = B`` and returns det A on the way;
-``det``, ``solve`` and ``inv_det`` only check and dispatch.  Over QQ it is
-fraction-free Bareiss elimination on the stored integers ``[Na | Nb]`` of
-A = Na / Da and B = Nb / Db.  With dN = det Na (the signed last pivot),
-y = dN * Na^-1 Nb is integral by Cramer's rule, so back substitution
+The one elimination is ``QQ.solve_det(a, b) -> ((num, den) | None, det)``,
+which solves ``A X = B`` and returns det A on the way; ``det``, ``solve``
+and ``inv_det`` only check and dispatch.  It is fraction-free Bareiss
+elimination on the stored integers ``[Na | Nb]`` of A = Na / Da and
+B = Nb / Db.  With dN = det Na (the signed last pivot), y = dN * Na^-1 Nb
+is integral by Cramer's rule, so back substitution
 ``y_i = (dN * c_i - sum_{j>i} u_ij * y_j) // u_ii`` divides exactly; then
-X = Da * y / (dN * Db) and det A = dN / Da^n.  Over ``PrimeField`` it is
-Gauss-Jordan elimination with modular pivot inverses.
+X = Da * y / (dN * Db) and det A = dN / Da^n.
 
-A zero/nonzero question about a determinant is ``_det_nonzero``: over QQ
-it takes the determinant of the integer rows mod 2^61 - 1 first, and runs
-exact Bareiss only when that is 0.  ``det`` itself stays exact.
+A zero/nonzero question about a determinant is ``_det_nonzero``: it
+reduces the integer rows mod 2^61 - 1 and takes their determinant there
+by forward elimination on residues, and runs exact Bareiss only when that
+is 0.  ``det`` itself stays exact.
 
 Structured operands are placed rather than multiplied.  ``place`` copies the
 entries of a matrix on some tensor slots into the positions of its image
@@ -128,84 +128,6 @@ class Rationals:
 
 
 QQ = Rationals()
-
-
-class PrimeField:
-    """Integers modulo a prime, elements kept as canonical residues in [0, p)."""
-
-    def __init__(self, p: int = MERSENNE61):
-        if p < 2:
-            raise ValueError("modulus must be at least 2")
-        self.p = p
-        self.name = f"GF({p})"
-        self.zero = 0
-        self.one = 1 % p
-
-    def of(self, x):
-        """Coerce an int, Fraction or string; fails if a denominator is 0 mod p."""
-        f = Fraction(x)
-        num = f.numerator % self.p
-        if f.denominator == 1:
-            return num
-        return num * self.inv(f.denominator % self.p) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"inverse of zero in {self.name}")
-        return pow(a, -1, self.p)
-
-    def lift(self, rows):
-        return self.normalise(rows, 1)
-
-    def normalise(self, num: list[list[int]], den: int):
-        """Rows reduced mod p; every GF(p) matrix has den 1."""
-        p = self.p
-        return [[k % p for k in row] for row in num], 1
-
-    def split(self, c):
-        return self.of(c), 1
-
-    @staticmethod
-    def value(k: int, den: int) -> int:
-        return k
-
-    def solve_det(self, a: "Matrix", b: "Matrix"):
-        """((num, 1) of X, det A) with A X = B, or (None, 0) when A is
-        singular.  Gauss-Jordan elimination."""
-        p = self.p
-        n = a.rows
-        rows = [r + rb for r, rb in zip(a.num, b.num)]
-        det_acc = self.one
-        for k in range(n):
-            piv = next((r for r in range(k, n) if rows[r][k]), None)
-            if piv is None:
-                return None, 0
-            if piv != k:
-                rows[k], rows[piv] = rows[piv], rows[k]
-                det_acc = -det_acc % p
-            inv_p = pow(rows[k][k], -1, p)
-            det_acc = det_acc * rows[k][k] % p
-            rows[k] = [x * inv_p % p for x in rows[k]]
-            for i in range(n):
-                if i != k and rows[i][k]:
-                    f = rows[i][k]
-                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[k])]
-        return ([row[n:] for row in rows], 1), det_acc
-
-    def __repr__(self) -> str:
-        return self.name
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("GF", self.p))
 
 
 class Matrix:
@@ -592,20 +514,42 @@ def det(a: Matrix):
     return a.field.solve_det(a, Matrix.zeros(a.rows, 0, a.field))[1]
 
 
-_GF61 = PrimeField()
+def _det_mod(num: list[list[int]], p: int) -> int:
+    """det(num) mod the prime p: forward elimination on the residues of the
+    integer rows, with modular pivot inverses."""
+    rows = [[k % p for k in row] for row in num]
+    n = len(rows)
+    d = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if rows[r][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            d = -d
+        rk = rows[k]
+        pk = rk[k]
+        d = d * pk % p
+        inv = pow(pk, -1, p)
+        tail = rk[k + 1:]
+        for ri in rows[k + 1:]:
+            f = ri[k] * inv % p
+            if f:
+                ri[k + 1:] = [(x - f * y) % p for x, y in zip(ri[k + 1:], tail)]
+    return d
 
 
 def _det_nonzero(m: Matrix) -> bool:
     """Whether det m != 0, certified mod 2^61 - 1 where that suffices.
 
-    Over QQ, det(num) = den^n * det m is an integer and reduction mod p is a
-    ring homomorphism, so a nonzero det(num) mod p proves det m != 0 with no
+    det(num) = den^n * det m is an integer and reduction mod p is a ring
+    homomorphism, so a nonzero det(num) mod p proves det m != 0 with no
     condition on the denominator; only a determinant that is 0 mod p runs
-    exact Bareiss.  Over a prime field this is ``det(m) != 0``.
+    exact Bareiss.
     """
-    if m.field == QQ and det(Matrix._normal(_GF61, m.num, 1, m.cols)):
-        return True
-    return det(m) != 0
+    if not m.is_square():
+        raise ValueError("determinant of a non-square matrix")
+    return _det_mod(m.num, MERSENNE61) != 0 or det(m) != 0
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix | None:

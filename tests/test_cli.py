@@ -301,3 +301,25 @@ def test_deeply_nested_input_gets_a_verdict(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_calls_in_one_process_do_not_share_state(tmp_path, capsys):
+    # one process, one parser: each call's exit code, stdout and stderr are
+    # the same whatever ran before it
+    ok = w(tmp_path, "ok.expr", "X1_1 * X1_2 - X1_2 * X1_1")
+    bad = w(tmp_path, "bad.expr", "X1_1 * + 3")
+    calls = [
+        [],                                                          # usage error
+        ["--help"],
+        ["mat-inv", "--help"],
+        ["check-zero", "--alphabet", "1:2", "--expr", bad],          # parse error
+        ["check-zero", "--alphabet", "1:2", "--expr", ok, "--seed", "3", "--max-level", "2"],
+        ["check-zero", "--alphabet", "1:2", "--expr", ok],           # option defaults
+        ["delta", "--alphabet", "1:2", "--expr", ok, "--part", "1", "--index", "2"],
+        ["check-zero", "--alphabet", "1:2", "--expr", ok, "--trials", "x"],
+    ]
+    forward = [run(capsys, *argv) for argv in calls]
+    backward = [run(capsys, *argv) for argv in reversed(calls)][::-1]
+    assert forward == backward
+    assert [code for code, _, _ in forward] == [2, 0, 0, 2, 1, 1, 0, 2]
+    assert forward[4][1] != forward[5][1]

@@ -34,9 +34,12 @@ from mprat.evaluation import (
 )
 from mprat.expression import Alphabet, Const, Inverse, Product, Sum, Var, parse
 from mprat.matrix_kernel import (
+    MERSENNE61,
     QQ,
     Matrix,
-    PrimeField,
+    _det_mod,
+    _det_nonzero,
+    det,
     direct_sum,
     inv_det,
     kron,
@@ -395,17 +398,16 @@ def test_bf_same_index_does_not_commute():
     assert found
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(97)], ids=["QQ", "GF97"])
 @pytest.mark.parametrize("g", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_bf_letters_are_the_products_of_their_two_embeddings(n, g, field):
+def test_bf_letters_are_the_products_of_their_two_embeddings(n, g):
     # bf_evaluate places each letter as one Kronecker product; by definition
     # it is the product of the embeddings of its outer and inner matrices
     rng = random.Random(f"bf-letters-{n}-{g}")
 
     def mats():
-        return tuple(Matrix.of(field, [[F(rng.randint(-6, 6), rng.randint(1, 3))
-                                        for _ in range(n)] for _ in range(n)])
+        return tuple(Matrix.of(QQ, [[F(rng.randint(-6, 6), rng.randint(1, 3))
+                                     for _ in range(n)] for _ in range(n)])
                      for _ in range(g))
     p = BfPoint(g, n, mats(), mats(), mats(), mats())
     dims = (n,) * (g + 2)
@@ -435,22 +437,23 @@ def test_bf_result_size():
 
 
 @pytest.mark.parametrize("text", CORPUS_TEXTS)
-def test_rational_value_reduces_to_the_prime_field_value(text):
-    # Defined mod p means every inverse had a p-unit determinant, so the
-    # rational value exists and reduces entrywise to the mod-p value.
-    gf = PrimeField()
+def test_corpus_values_pass_the_mod_p_screen_like_their_exact_determinant(text):
+    # det(num) = den^n * det(value) is an integer, so its residue mod p is
+    # the determinant of the residues of the integer rows; a zero residue
+    # must fall back to the exact determinant
     e = parse(text, CORPUS_ALPHABET)
-    rng = random.Random(f"qq-gf {text}")
+    rng = random.Random(f"mod-p screen {text}")
     defined = 0
     for dims in ((2, 2), (2, 2), (1, 3), (3, 1)):
-        point = rand_mp_point(rng, CORPUS_ALPHABET, dims, bound=5)
-        mod_p = MpPoint(CORPUS_ALPHABET, tuple(tuple(Matrix.of(gf, m.data) for m in mats)
-                                                for mats in point.parts))
-        got = mp_evaluate(e, mod_p)
+        got = mp_evaluate(e, rand_mp_point(rng, CORPUS_ALPHABET, dims, bound=5))
         if isinstance(got, Undefined):
             continue
-        want = assert_defined(mp_evaluate(e, point))
-        assert got == Matrix.of(gf, want.data)
+        rows = got.data
+        # the value itself, and a copy made singular by repeating its first row
+        for m in (got, Matrix(QQ, rows[:1] + rows[:-1], got.cols)):
+            exact = det(m)
+            assert _det_nonzero(m) is (exact != 0)
+            assert _det_mod(m.num, MERSENNE61) == det(Matrix(QQ, m.num, m.cols)) % MERSENNE61
         defined += 1
     assert defined
 
@@ -483,39 +486,46 @@ SCALAR_CASES = {
 }
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(97)], ids=["QQ", "GF97"])
-@pytest.mark.parametrize("dims", [(2, 2), (1, 3), (0, 2)])
+@pytest.mark.parametrize("dims", [(2, 2), (1, 3), (0, 2), (3, 1), (2, 0), (1, 1)])
 @pytest.mark.parametrize("name", list(SCALAR_CASES))
-def test_scalar_folding_matches_the_naive_evaluator(name, dims, field):
+def test_scalar_folding_matches_the_naive_evaluator(name, dims):
     e = SCALAR_CASES[name]
     point = rand_mp_point(random.Random(f"fold {name} {dims}"), AB11, dims, bound=6)
     want = naive_mp_eval(e, point)
-    in_field = MpPoint(AB11, tuple(tuple(Matrix.of(field, m.data) for m in mats)
-                                   for mats in point.parts))
-    got = assert_defined(mp_evaluate(e, in_field))
-    assert got == Matrix.of(field, want, got.cols)
+    got = assert_defined(mp_evaluate(e, point))
+    assert got == Matrix.of(QQ, want, got.cols)
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(97)], ids=["QQ", "GF97"])
-def test_inverse_of_cancelling_constants_is_undefined_at_the_root(field):
-    e = Inverse(Sum((c(1), c(-1))))
-    point = MpPoint(AB11, ((Matrix.identity(2, field),), (Matrix.identity(3, field),)))
+ZERO_CONSTANTS = {
+    "one minus one": Sum((c(1), c(-1))),
+    "fractions cancel": Sum((c(F(2, 3)), c(F(-2, 3)))),
+    "three terms cancel": Sum((c(3), c(-1), c(-2))),
+    "zero factor": Product((c(0), c(5))),
+    "zero": c(0),
+}
+
+
+@pytest.mark.parametrize("name", list(ZERO_CONSTANTS))
+def test_inverse_of_cancelling_constants_is_undefined_at_the_root(name):
+    e = Inverse(ZERO_CONSTANTS[name])
+    point = MpPoint(AB11, ((Matrix.identity(2),), (Matrix.identity(3),)))
     v = mp_evaluate(e, point)
     assert isinstance(v, Undefined)
     assert v.subexpr is e and v.path == ()
     # at a 0x0 point every matrix is invertible, this one included
-    empty = MpPoint(AB11, ((Matrix.zeros(0, 0, field),), (Matrix.identity(2, field),)))
-    assert mp_evaluate(e, empty) == Matrix.zeros(0, 0, field)
+    empty = MpPoint(AB11, ((Matrix.zeros(0, 0),), (Matrix.identity(2),)))
+    assert mp_evaluate(e, empty) == Matrix.zeros(0, 0)
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(97)], ids=["QQ", "GF97"])
-def test_inverse_of_a_singular_letter_is_undefined_unless_a_slot_is_empty(field):
+@pytest.mark.parametrize("rows", [[[0, 0], [0, 0]], [[1, 2], [2, 4]], [[0, 1], [0, 0]]],
+                         ids=["zero", "rank-one", "nilpotent"])
+def test_inverse_of_a_singular_letter_is_undefined_unless_a_slot_is_empty(rows):
     # I_k (x) M is singular exactly when M is singular and k > 0
     e = Inverse(Var(1, 1))
-    zero = Matrix.zeros(2, 2, field)
-    empty = MpPoint(AB11, ((zero,), (Matrix.zeros(0, 0, field),)))
-    assert mp_evaluate(e, empty) == Matrix.zeros(0, 0, field)
-    one = MpPoint(AB11, ((zero,), (Matrix.identity(1, field),)))
+    zero = Matrix.of(QQ, rows)
+    empty = MpPoint(AB11, ((zero,), (Matrix.zeros(0, 0),)))
+    assert mp_evaluate(e, empty) == Matrix.zeros(0, 0)
+    one = MpPoint(AB11, ((zero,), (Matrix.identity(1),)))
     v = mp_evaluate(e, one)
     assert isinstance(v, Undefined)
     assert v.subexpr is e and v.path == ()
@@ -547,11 +557,18 @@ def test_mixed_slot_values_match_the_naive_evaluator(text, dims):
         assert assert_defined(got).data == want
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(97)], ids=["QQ", "GF97"])
-def test_letter_free_values_are_memoized_as_field_elements(field):
-    a = Matrix.of(field, rand_invertible(random.Random("memo-const"), 2).data)
+LETTER_FREE = {
+    "constant": (c(F(2, 3)), F(2, 3)),
+    "sum": (Sum((c(3), c(-1))), F(2)),
+    "product": (Product((c(-2), c(F(1, 4)))), F(-1, 2)),
+    "nested": (Sum((Product((c(2), c(3))), c(F(-1, 2)))), F(11, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(LETTER_FREE))
+def test_letter_free_values_are_memoized_as_field_elements(name):
+    a = rand_invertible(random.Random("memo-const"), 2)
     ev = Evaluator(NcPoint(Alphabet((1,)), (a,)))
-    const, total = c(F(2, 3)), Sum((c(3), c(-1)))
-    for node, value in ((const, field.of(F(2, 3))), (total, field.of(2))):
-        assert ev.run(node) == scalar_matrix(2, value, field)
-        assert ev.memo[id(node)][1] == value
+    node, value = LETTER_FREE[name]
+    assert ev.run(node) == scalar_matrix(2, value)
+    assert ev.memo[id(node)][1] == value

@@ -1,0 +1,65 @@
+"""Import hygiene of the package sources, read with ``ast``.
+
+The package needs nothing outside the standard library at run time, and a
+module imports only names it uses.  The one exception is a name that
+``perfbench/tracing.py`` wraps where a module binds it (its ``SITES``):
+the tracer replaces that module attribute, so the import must stay even
+when the module no longer calls it.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "mprat").glob("*.py"))
+
+
+def module_name(path: Path) -> str:
+    return "mprat" if path.stem == "__init__" else f"mprat.{path.stem}"
+
+
+def traced_sites() -> dict[str, tuple[str, ...]]:
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SITES"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py has no SITES")
+
+
+def imports(tree: ast.Module):
+    """(top-level module, bound names) of every import in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0], [alias.asname or alias.name.split(".")[0]]
+        elif isinstance(node, ast.ImportFrom):
+            top = "mprat" if node.level else node.module.split(".")[0]
+            yield top, [alias.asname or alias.name for alias in node.names]
+
+
+def test_sources_import_only_the_standard_library_and_the_package():
+    assert SOURCES
+    outside = [(path.name, top) for path in SOURCES
+               for top, _ in imports(ast.parse(path.read_text()))
+               if top != "mprat" and top not in sys.stdlib_module_names]
+    assert outside == []
+
+
+def test_every_unused_import_is_a_traced_site():
+    sites = traced_sites()
+    unused = {}
+    for path in SOURCES:
+        if path.stem == "__init__":
+            continue    # its imports are the package's exports
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names = {name for top, bound in imports(tree) if top != "__future__" for name in bound}
+        unused[module_name(path)] = names - used
+    traced = {module: names & set(sites.get(module, ())) for module, names in unused.items()}
+    assert unused == traced
+    assert {module: names for module, names in unused.items() if names} == {
+        "mprat.identity": {"det"},
+        "mprat.matrix_rational": {"det", "is_zero"},
+        "mprat.realization": {"det", "kron"},
+    }

@@ -1,4 +1,4 @@
-"""Exact linear algebra kernel: fields, Kronecker tools, elimination."""
+"""Exact linear algebra kernel: rational matrices, Kronecker tools, elimination."""
 
 import random
 from fractions import Fraction
@@ -13,8 +13,8 @@ from mprat.matrix_kernel import (
     QQ,
     Matrix,
     Rationals,
+    _det_mod,
     _det_nonzero,
-    PrimeField,
     block_matrix,
     commutation_matrix,
     det,
@@ -31,14 +31,9 @@ from mprat.matrix_kernel import (
 F = Fraction
 
 
-def rand_matrix(rng, n, m, field=QQ, bound=9):
-    return Matrix.of(field, [[F(rng.randint(-bound, bound), rng.randint(1, 3))
-                              for _ in range(m)] for _ in range(n)])
-
-
-def rand_int_matrix(rng, n, m, field=QQ, bound=9):
-    return Matrix.of(field, [[rng.randint(-bound, bound) for _ in range(m)]
-                             for _ in range(n)])
+def rand_matrix(rng, n, m, bound=9):
+    return Matrix.of(QQ, [[F(rng.randint(-bound, bound), rng.randint(1, 3))
+                           for _ in range(m)] for _ in range(n)])
 
 
 def rand_wide_matrix(rng, n, m):
@@ -88,8 +83,6 @@ def test_arithmetic_and_shapes():
         a + Matrix.zeros(2, 3)
     with pytest.raises(ValueError):
         a @ Matrix.zeros(3, 2)
-    with pytest.raises(ValueError):
-        a @ Matrix.identity(2, PrimeField(97))
 
 
 def test_submatrix_and_scalar():
@@ -99,9 +92,6 @@ def test_submatrix_and_scalar():
     assert a.add_scalar(F(1, 2)) == a + scalar_matrix(3, F(1, 2))
     assert a.add_scalar(0) == a
     assert Matrix.zeros(0, 0).add_scalar(F(3)) == Matrix.zeros(0, 0)
-    gf = PrimeField(97)
-    ag = Matrix.of(gf, a.data)
-    assert ag.add_scalar(gf.of(-1)) == ag + scalar_matrix(3, -1, gf)
     with pytest.raises(ValueError):
         a.submatrix(0, 2, 0, 3).add_scalar(1)
 
@@ -114,8 +104,6 @@ def test_empty_shapes():
         p = Matrix.zeros(n, m) @ Matrix.zeros(m, k)
         assert (p.rows, p.cols) == (n, k)
         assert p == Matrix.zeros(n, k)
-    gf = PrimeField(97)
-    assert Matrix.zeros(2, 0, gf) @ Matrix.zeros(0, 3, gf) == Matrix.zeros(2, 3, gf)
 
 
 def test_matmul_matches_reference():
@@ -134,9 +122,6 @@ def test_kron_zero_and_one_entries_match_reference():
     b = rand_wide_matrix(rng, 2, 3)
     assert kron(a, b).data == l_kron(a.data, b.data)
     assert kron(b, a).data == l_kron(b.data, a.data)
-    gf = PrimeField(97)
-    a_p, b_p = Matrix.of(gf, a.data), Matrix.of(gf, rand_int_matrix(rng, 2, 3).data)
-    assert kron(a_p, b_p) == Matrix.of(gf, l_kron(a_p.data, b_p.data))
 
 
 def test_kron_example():
@@ -172,22 +157,19 @@ def l_blocks(grid):
 
 def test_block_matrix_matches_list_reference():
     rng = random.Random("blocks")
-    gf = PrimeField(97)
 
-    def block(h, w, field=QQ):
-        return Matrix.of(field, [[rng.randint(-9, 9) for _ in range(w)] for _ in range(h)], w)
+    def block(h, w):
+        return Matrix.of(QQ, [[rng.randint(-9, 9) for _ in range(w)] for _ in range(h)], w)
 
     grids = [[[block(2, 3)]],
              [[block(h, w) for w in (1, 0, 3)] for h in (2, 0, 1)],
              [[block(0, 2), block(0, 3)]],
-             [[block(2, 0)], [block(1, 0)]],
-             [[block(1, 2, gf), block(1, 1, gf)], [block(2, 2, gf), block(2, 1, gf)]]]
+             [[block(2, 0)], [block(1, 0)]]]
     for grid in grids:
-        field = grid[0][0].field
         data, cols = l_blocks(grid)
         out = block_matrix(grid)
-        assert out.field == field
-        assert out == Matrix(field, data, cols)
+        assert out.field == QQ
+        assert out == Matrix(QQ, data, cols)
     a = grids[0][0][0]
     assert block_matrix([[a]]) == a
 
@@ -198,8 +180,7 @@ def test_block_matrix_rejects_bad_grids():
            [[]],
            [[a, Matrix.zeros(1, 1)]],           # rows do not fit the band
            [[a], [Matrix.zeros(1, 2)]],         # columns do not fit the column
-           [[a, a], [a]],                       # ragged grid
-           [[a, Matrix.zeros(2, 1, PrimeField(97))]]]
+           [[a, a], [a]]]                       # ragged grid
     for grid in bad:
         with pytest.raises(ValueError):
             block_matrix(grid)
@@ -228,7 +209,7 @@ def test_tau_embed_cross_slot_commutation():
                     == tau_embed(j, b, dims) @ tau_embed(i, a, dims))
 
 
-# generic entries: zero, one, negatives and fractions, all units mod 97 or 0
+# generic entries: zero, one, negatives and fractions
 GENERIC = [F(0), F(1), F(-1), F(-7, 3), F(5, 2), F(2), F(1, 9), F(-4), F(11, 6)]
 
 
@@ -247,28 +228,27 @@ def l_place(a, slots, dims):
              for c in index] for r in index]
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(97)], ids=["QQ", "GF97"])
-@pytest.mark.parametrize("dims", [(1,), (3,), (2, 3), (3, 1, 2), (2, 2, 2), (2, 0, 3)])
-def test_tau_embed_matches_kron_with_identities(dims, field):
+@pytest.mark.parametrize("dims", [(1,), (3,), (2, 3), (3, 1, 2), (2, 2, 2), (2, 0, 3),
+                                  (0,), (4,), (1, 1), (3, 0), (0, 2, 2), (2, 1, 2, 1)])
+def test_tau_embed_matches_kron_with_identities(dims):
     for slot in range(1, len(dims) + 1):
         n = dims[slot - 1]
         pre, post = prod(dims[: slot - 1]), prod(dims[slot:])
         a = [[GENERIC[(7 * r + 4 * c + slot) % len(GENERIC)] for c in range(n)]
              for r in range(n)]
-        want = Matrix.of(field, l_kron(l_kron(l_eye(pre), a), l_eye(post)), prod(dims))
-        got = tau_embed(slot, Matrix.of(field, a, n), dims)
+        want = Matrix.of(QQ, l_kron(l_kron(l_eye(pre), a), l_eye(post)), prod(dims))
+        got = tau_embed(slot, Matrix.of(QQ, a, n), dims)
         assert (got.rows, got.cols) == (want.rows, want.cols)
         assert got.data == want.data
-        if field == QQ:
-            assert all_fractions(got)
+        assert all_fractions(got)
     # every slot subset, the empty one and the non-adjacent ones included
     for size in range(len(dims) + 1):
         for slots in combinations(range(len(dims)), size):
             k = prod(dims[s] for s in slots)
             a = [[GENERIC[(5 * r + 3 * c + size) % len(GENERIC)] for c in range(k)]
                  for r in range(k)]
-            got = place(Matrix.of(field, a, k), slots, dims)
-            assert got == Matrix.of(field, l_place(a, slots, dims), prod(dims))
+            got = place(Matrix.of(QQ, a, k), slots, dims)
+            assert got == Matrix.of(QQ, l_place(a, slots, dims), prod(dims))
 
 
 def test_tau_embed_validates():
@@ -354,8 +334,8 @@ def test_det_edge_cases():
     assert det(Matrix.of(QQ, [[1, 2], [2, 4]])) == F(0)
     with pytest.raises(ValueError):
         det(Matrix.zeros(2, 3))
-
-
+    empty = Matrix.zeros(0, 0)
+    assert inv_det(empty) == (empty, F(1))
 
 
 def test_zero_leading_pivot_forces_row_swaps():
@@ -414,12 +394,61 @@ def test_det_nonzero_is_decided_mod_p_first(monkeypatch):
         assert _det_nonzero(m) is nonzero
         assert len(exact) == fallbacks
         assert (det(m) != 0) is nonzero
-    gf = PrimeField(97)
-    assert _det_nonzero(Matrix.of(gf, [[1, 2], [3, 4]]))
-    assert not _det_nonzero(Matrix.of(gf, [[1, 2], [2, 4]]))
-    assert not _det_nonzero(Matrix.of(gf, [[97 + 1, 1], [1, 1]]))
     with pytest.raises(ValueError):
         _det_nonzero(Matrix.zeros(2, 3))
+
+
+def check_det_nonzero(m):
+    # _det_nonzero against det(m) != 0, and the residue itself against the
+    # exact integer determinant of num
+    nonzero = det(m) != 0
+    assert _det_nonzero(m) is nonzero
+    d = det(Matrix(QQ, m.num, m.cols))
+    for q in (2, 7, MERSENNE61):
+        assert _det_mod(m.num, q) == d % q
+    return nonzero
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_det_nonzero_matches_the_exact_determinant_on_random_matrices(n):
+    rng = random.Random(f"det-nonzero-oracle {n}")
+    seen = set()
+    for trial in range(12):
+        m = rand_matrix(rng, n, n, bound=3)
+        if n and trial % 3 == 0:
+            # the last row a combination of the others: singular
+            rows = m.data
+            cs = [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n - 1)]
+            rows[-1] = [sum((c * r[j] for c, r in zip(cs, rows)), F(0)) for j in range(n)]
+            m = Matrix(QQ, rows, n)
+        seen.add(check_det_nonzero(m))
+    assert seen == ({True} if n == 0 else {True, False})
+
+
+def test_det_nonzero_matches_the_exact_determinant():
+    p = MERSENNE61
+    check = check_det_nonzero
+    # det(num) = p, -p, p^2 and -p^2, also behind unimodular mixing
+    mix_l = Matrix.of(QQ, [[1, 2, 0], [0, 1, 0], [3, -1, 1]])
+    mix_r = Matrix.of(QQ, [[1, 0, 0], [-4, 1, 5], [0, 0, 1]])
+    for diag in ((p, 1, 1), (-p, 1, 1), (1, 1, p * p), (p, -p, 1)):
+        core = Matrix.of(QQ, [[diag[i] if i == j else 0 for j in range(3)] for i in range(3)])
+        for m in (core, mix_l @ core @ mix_r):
+            assert _det_mod(m.num, p) == 0
+            assert check(m)
+    assert check(Matrix.of(QQ, [[0, 1], [p, 0]]))
+    assert not check(Matrix.of(QQ, [[p, 2 * p], [1, 2]]))
+    # p in a denominator
+    for rows, nonzero in (([[F(1, p), 0], [0, 1]], True),           # det(num) = p
+                          ([[F(1, p), 3], [0, F(1, p)]], True),     # det(num) = 1
+                          ([[F(1, p), 1], [1, p]], False)):         # det(num) = 0
+        m = Matrix.of(QQ, rows)
+        assert m.den == p
+        assert check(m) is nonzero
+    assert check(Matrix.zeros(0, 0))
+    for shape in ((2, 3), (0, 3), (3, 0)):
+        with pytest.raises(ValueError):
+            _det_nonzero(Matrix.zeros(*shape))
 
 
 def test_det_matches_laplace():
@@ -491,74 +520,3 @@ def test_qq_results_are_fractions():
     assert all(all_fractions(m) for m in results)
     assert type(d) is Fraction and type(det(a)) is Fraction
     assert type(det(Matrix.zeros(0, 0))) is Fraction
-
-
-# -- prime fields -------------------------------------------------------------
-
-
-def test_prime_field_arithmetic():
-    gf = PrimeField(97)
-    assert gf.of(-1) == 96
-    assert gf.of(F(1, 2)) == 49
-    assert gf.mul(gf.of(F(1, 2)), 2) == 1
-    assert gf.inv(3) * 3 % 97 == 1
-    with pytest.raises(ZeroDivisionError):
-        gf.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        gf.of(F(1, 97))
-
-
-def test_prime_field_matches_rationals():
-    rng = random.Random("gfp-agree")
-    gf = PrimeField(97)
-    for n in (2, 3):
-        for _ in range(6):
-            a = rand_int_matrix(rng, n, n, bound=20)
-            ap = Matrix.of(gf, a.data)
-            dq = det(a)
-            assert det(ap) == gf.of(dq)
-            res_q = inv_det(a)
-            res_p = inv_det(ap)
-            if res_q is not None and gf.of(dq) != 0:
-                assert res_p is not None
-                assert res_p[0] @ ap == Matrix.identity(n, gf)
-            b = rand_int_matrix(rng, n, 2, bound=20)
-            bp = Matrix.of(gf, b.data)
-            xp = solve(ap, bp)
-            if gf.of(dq) != 0:
-                # the rational solution's denominators divide det, a unit mod p
-                assert xp == Matrix.of(gf, solve(a, b).data)
-                assert ap @ xp == bp
-            else:
-                assert xp is None
-    singular = [[1, 2, 3], [2, 4, 6], [0, 1, 5]]
-    for field in (QQ, gf):
-        s = Matrix.of(field, singular)
-        assert det(s) == field.zero
-        assert inv_det(s) is None
-        assert solve(s, Matrix.identity(3, field)) is None
-        empty = Matrix.zeros(0, 0, field)
-        assert det(empty) == field.one
-        assert inv_det(empty) == (empty, field.one)
-        assert solve(empty, Matrix.zeros(0, 3, field)) == Matrix.zeros(0, 3, field)
-
-
-def test_prime_field_singularity_is_mod_p():
-    gf = PrimeField(97)
-    a = Matrix.of(gf, [[97, 0], [0, 1]])
-    assert det(a) == 0
-    assert inv_det(a) is None
-    # the constructor reduces a raw residue of p to 0, so the pivot is 0
-    raw = Matrix(gf, [[97, 1], [0, 1]])
-    assert det(raw) == 0
-    assert inv_det(raw) is None
-    assert solve(raw, Matrix.identity(2, gf)) is None
-
-
-def test_default_modulus_is_large_prime():
-    gf = PrimeField()
-    assert gf.p == (1 << 61) - 1
-    a = Matrix.of(gf, [[1, 2], [3, 4]])
-    inv, d = inv_det(a)
-    assert d == gf.of(-2)
-    assert inv @ a == Matrix.identity(2, gf)
