@@ -134,14 +134,13 @@ def fund_block_point(
     for mat in a:
         if not (mat.is_square() and mat.rows == m):
             raise ValueError("a matrices must be square of one size")
-    field = a[0].field
     half = mp * m
     blocks = []
     for j, (ap, aj) in enumerate(zip(a_prime, a)):
-        ul = kron(ap, Matrix.identity(m, field))
-        ur = scalar_matrix(half, Fraction(v[j]), field)
-        lr = kron(Matrix.identity(mp, field), aj)
-        blocks.append(block_matrix([[ul, ur], [Matrix.zeros(half, half, field), lr]]))
+        ul = kron(ap, Matrix.identity(m))
+        ur = scalar_matrix(half, v[j])
+        lr = kron(Matrix.identity(mp), aj)
+        blocks.append(block_matrix([[ul, ur], [Matrix.zeros(half, half), lr]]))
     sizes = (len(a),) + tuple(len(p) for p in rest)
     alphabet = Alphabet(sizes)
     parts = (tuple(blocks),) + tuple(tuple(p) for p in rest)
@@ -175,15 +174,14 @@ def verify_fund(
 
     mp = a_prime[0].rows
     m = a[0].rows
-    field = a[0].field
     rest_t = tuple(tuple(p) for p in rest)
     upper = MpPoint(
         alphabet,
-        (tuple(kron(ap, Matrix.identity(m, field)) for ap in a_prime),) + rest_t,
+        (tuple(kron(ap, Matrix.identity(m)) for ap in a_prime),) + rest_t,
     )
     lower = MpPoint(
         alphabet,
-        (tuple(kron(Matrix.identity(mp, field), aj) for aj in a),) + rest_t,
+        (tuple(kron(Matrix.identity(mp), aj) for aj in a),) + rest_t,
     )
     ul_ref = _demand(mp_evaluate(e, upper))
     lr_ref = _demand(mp_evaluate(e, lower))

@@ -178,7 +178,7 @@ def dump_realization(r: Realization) -> dict:
     columns: dict[int, dict] = {}
     for (k, u), v in sorted(r.C.items()):
         columns.setdefault(u, {})[f"{k},{u}"] = matrix_flat(v)
-    eye = matrix_flat(Matrix.identity(r.m, r.field))
+    eye = matrix_flat(Matrix.identity(r.m))
     return {"m": r.m,
             "dim": r.dim,
             "rho": r.rho,
@@ -384,7 +384,10 @@ def _add_expr(p):
 
 
 def _add_config(p):
-    p.add_argument("--max-level", type=int, default=4, metavar="L")
+    p.add_argument("--max-level", type=int, default=4, metavar="L",
+                   help="largest sample size per slot; at level L the root value is "
+                        "L^S x L^S for S slots (parts plus primed copies) and dense work "
+                        "grows like L^(3S): L=9 on 3 parts asks for 729x729 values")
     p.add_argument("--trials", type=int, default=8, metavar="T")
     p.add_argument("--bound", type=int, default=10, metavar="B")
     p.add_argument("--seed", type=int, default=0, metavar="S")

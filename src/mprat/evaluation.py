@@ -31,21 +31,22 @@ slots only; the root alone is placed into every slot.  At a point with a
 slot of size 0 every value, every inverse included, is the 0x0 matrix.
 
 Constants are applied as scalars.  A letter-free subtree (a ``Const``, or
-a ``Sum`` or ``Product`` of such) is memoized as its field element c, which
-stands for c * I.  The scalar children of a ``Product`` fold into one c that
+a ``Sum``, ``Product`` or ``Inverse`` of such) is memoized as its rational
+value c, a ``Fraction`` which stands for c * I; the inverse of c = 0 is
+undefined.  The scalar children of a ``Product`` fold into one c that
 scales the product of the other factors once (not at all when c = 1); those
 of a ``Sum`` fold into one c added on the diagonal of the sum of the other
 terms (not at all when c = 0).  A scalar becomes a matrix only as the value
-of the root, c * I, or as the argument of an ``Inverse``, the 1x1 matrix c
-on no slots.
+of the root, c * I.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from math import prod
-from operator import add
+from operator import add, mul
 
 from .expression import (
     Alphabet,
@@ -100,7 +101,6 @@ class MpPoint:
         object.__setattr__(self, "parts", tuple(tuple(p) for p in self.parts))
         if len(self.parts) != len(slots):
             raise ValueError(f"expected {len(slots)} slot tuples, got {len(self.parts)}")
-        field = self.parts[0][0].field
         for (part, _), mats in zip(slots, self.parts):
             if len(mats) != self.alphabet.size_of(part):
                 raise ValueError(f"part {part} needs {self.alphabet.size_of(part)} matrices")
@@ -108,16 +108,10 @@ class MpPoint:
             for m in mats:
                 if not m.is_square() or m.rows != size:
                     raise ValueError(f"part {part}: matrices must all be {size}x{size}")
-                if m.field != field:
-                    raise ValueError("all matrices must share one field")
 
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(mats[0].rows for mats in self.parts)
-
-    @property
-    def field(self):
-        return self.parts[0][0].field
 
 
 @dataclass(frozen=True)
@@ -133,20 +127,13 @@ class NcPoint:
         if len(self.mats) != len(letters):
             raise ValueError(f"expected {len(letters)} matrices, got {len(self.mats)}")
         n = self.mats[0].rows
-        field = self.mats[0].field
         for m in self.mats:
             if not m.is_square() or m.rows != n:
                 raise ValueError(f"all matrices must be {n}x{n}")
-            if m.field != field:
-                raise ValueError("all matrices must share one field")
 
     @property
     def n(self) -> int:
         return self.mats[0].rows
-
-    @property
-    def field(self):
-        return self.mats[0].field
 
 
 @dataclass(frozen=True)
@@ -202,7 +189,7 @@ class Evaluator:
     evaluates whole expression matrices, and every pivot test of one Schur
     recursion at one sample point, through one instance.  The memo maps
     id(node) to (node, value); holding the node keeps its id from being
-    reused by a later expression.  The value is a field element c standing
+    reused by a later expression.  The value is a ``Fraction`` c standing
     for c * I when the subtree has no letters, a pair (slots, M) of the
     sorted tensor slots its letters touch and a matrix M on them, or None
     for an inverse of a singular value.  ``n`` is the size of a root value,
@@ -222,7 +209,6 @@ class Evaluator:
         self.alphabet, self.dims, values = _slot_letters(point)
         self.slots = tuple(range(len(self.dims)))
         self.n = prod(self.dims)
-        self.field = values[0][1].field
         self.lookup = {(v.part, v.index, v.primed): val
                        for v, val in zip(self.alphabet.letters(), values)}
         self.memo: dict[int, tuple[Expr, object]] = {}
@@ -239,7 +225,7 @@ class Evaluator:
         if not self.n:
             # a slot of size 0: every value is 0x0, and so is every inverse
             validate_vars(e, self.alphabet)
-            return Matrix.zeros(0, 0, self.field)
+            return Matrix.zeros(0, 0)
         memo, defined = self.memo, self.defined
         for node in walk(e, seen=defined):
             hit = memo.get(id(node))
@@ -257,25 +243,25 @@ class Evaluator:
         v = memo[id(e)][1]
         if isinstance(v, tuple):
             return self._on(v, self.slots)
-        return scalar_matrix(self.n, v, self.field)
+        return scalar_matrix(self.n, v)
 
     def _value(self, node: Expr):
         # from the memoized values of the node's children
-        memo = self.memo
-        field = self.field
         if isinstance(node, Const):
-            return field.of(node.value)
+            return Fraction(node.value)
         if isinstance(node, Var):
             return self.lookup[(node.part, node.index, node.primed)]
         if isinstance(node, Sum):
-            return self._combine(node.terms, self._sum, field.add, 0, Matrix.add_scalar)
+            return self._combine(node.terms, self._sum, add, 0, Matrix.add_scalar)
         if isinstance(node, Product):
-            return self._combine(node.factors, self._product, field.mul, 1, Matrix.scale)
+            return self._combine(node.factors, self._product, mul, 1, Matrix.scale)
         if isinstance(node, Inverse):
-            v = memo[id(node.arg)][1]
+            v = self.memo[id(node.arg)][1]
+            if not isinstance(v, tuple):
+                return 1 / v if v else None
             # I_k (x) M is singular exactly when M is: k > 0, as run
             # returns early at a slot of size 0
-            slots, m = v if isinstance(v, tuple) else ((), scalar_matrix(1, v, field))
+            slots, m = v
             pair = inv_det(m)
             return None if pair is None else (slots, pair[0])
         raise TypeError(f"not an expression node: {type(node).__name__}")
@@ -285,9 +271,8 @@ class Evaluator:
         scalar_op into one scalar that apply puts on the matrix once; a
         scalar when no kid has letters.
 
-        ``unit`` is the int 0 or 1, which the field's zero and one equal; a
-        ``Fraction`` compares with an int faster than with another
-        ``Fraction``.
+        ``unit`` is the int 0 or 1, the identity of scalar_op; a ``Fraction``
+        compares with an int faster than with another ``Fraction``.
         """
         memo = self.memo
         values = [memo[id(k)][1] for k in kids]
@@ -322,7 +307,7 @@ class Evaluator:
         (s, a), (t, b) = x, y
         if s == t:
             return s, a @ b
-        if not s or not t or s[-1] < t[0]:
+        if s[-1] < t[0]:
             return s + t, kron(a, b)
         if t[-1] < s[0]:
             return t + s, kron(b, a)
@@ -371,17 +356,9 @@ def ell_collapse(m: Matrix, n: int, g: int) -> Matrix:
     if m.rows != size or m.cols != size:
         raise ValueError(f"matrix is {m.rows}x{m.cols}, expected {size}x{size}")
     inner = n ** (g - 1)
-    field = m.field
-    data = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            acc = field.zero
-            for t in range(inner):
-                acc = field.add(acc, m.entry(r * inner + t, t * n + c))
-            row.append(acc)
-        data.append(row)
-    return Matrix(field, data, n)
+    num = m.num
+    return Matrix._normal([[sum(num[r * inner + t][t * n + c] for t in range(inner))
+                            for c in range(n)] for r in range(n)], m.den, n)
 
 
 def check_multipartite_tuple(p: NcPoint) -> bool:

@@ -1,24 +1,25 @@
 """Exact dense linear algebra over the rationals, with Kronecker-product
 structure.
 
-Matrices are dense, immutable by convention after construction, and carry
-the field they live over: ``QQ``, the arbitrary-precision rationals, which
-is the kernel's one field.  All arithmetic is exact; singularity is
-reported, never approximated.
+Every matrix is over ℚ, the arbitrary-precision rationals: the kernel has
+one number type, so no operation takes or compares a field.  Matrices are
+dense and immutable by convention after construction.  All arithmetic is
+exact; singularity is reported, never approximated.
 
-Field elements are ``fractions.Fraction`` values and the field object
-supplies the operations.  Matrices refuse to combine operands over
-different fields.
+Entries are ``fractions.Fraction`` values where they are read back.  The
+constructors ``Matrix(QQ, rows)``, ``Matrix.of(QQ, ...)`` and
+``Matrix.from_flat(QQ, ...)`` take ``QQ`` as their first argument and refuse
+any other value with ``TypeError``; ``QQ`` names ℚ and carries nothing else.
 
 A matrix stores integer rows ``num`` over one positive denominator ``den``
 with gcd(den, entries) = 1, so ``==`` compares ``den`` and ``num``.
-Fractions exist only at the boundary: ``QQ.lift`` turns them into
-(num, den), ``QQ.value`` turns entries back for ``data``, ``entry`` and
+Fractions exist only at the boundary: ``_lift`` turns them into
+(num, den), ``_value`` turns entries back for ``data``, ``entry`` and
 ``flat``.  Sums, products, scalings and Kronecker products compute on the
-integers and call ``QQ.normalise`` once (a gcd pass); transposes and slot
+integers and call ``_normalise`` once (a gcd pass); transposes and slot
 embeddings only move entries.
 
-The one elimination is ``QQ.solve_det(a, b) -> ((num, den) | None, det)``,
+The one elimination is ``_solve_det(a, b) -> ((num, den) | None, det)``,
 which solves ``A X = B`` and returns det A on the way; ``det``, ``solve``
 and ``inv_det`` only check and dispatch.  It is fraction-free Bareiss
 elimination on the stored integers ``[Na | Nb]`` of A = Na / Da and
@@ -49,8 +50,6 @@ from math import gcd, lcm, prod
 from typing import Sequence
 
 _mul = operator.mul
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 #: 2**61 - 1, a Mersenne prime large enough that random small-entry data
 #: essentially never collides with 0 mod p by accident.
@@ -58,92 +57,73 @@ MERSENNE61 = (1 << 61) - 1
 
 
 class Rationals:
-    """The field of arbitrary-precision rationals. Use the ``QQ`` singleton."""
-
-    name = "QQ"
-    zero = _F0
-    one = _F1
-
-    def of(self, x) -> Fraction:
-        """Coerce an int, string like ``"-3/7"`` or Fraction into the field."""
-        return Fraction(x)
-
-    add = staticmethod(operator.add)
-    mul = staticmethod(operator.mul)
-
-    @staticmethod
-    def lift(rows):
-        """Canonical (num, den) of rows of Fractions or ints: den is the lcm
-        of the denominators, so no gcd pass is needed."""
-        den = lcm(*{x.denominator for row in rows for x in row})
-        if den == 1:
-            return [[x.numerator for x in row] for row in rows], 1
-        return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
-
-    @staticmethod
-    def normalise(num: list[list[int]], den: int):
-        """(num, den) over a positive den sharing no factor with all of num:
-        one gcd pass, which stops at the first row that brings it to 1."""
-        if den < 0:
-            num, den = [[-k for k in row] for row in num], -den
-        g = den
-        for row in num:
-            if g == 1:
-                return num, den
-            g = gcd(g, *row)
-        if g == 1:
-            return num, den
-        return [[k // g for k in row] for row in num], den // g
-
-    @staticmethod
-    def split(c):
-        """(p, q) with c == p / q in lowest terms and q > 0."""
-        return c.numerator, c.denominator
-
-    @staticmethod
-    def value(k: int, den: int) -> Fraction:
-        return Fraction(k) if den == 1 else Fraction(k, den)
-
-    def solve_det(self, a: "Matrix", b: "Matrix"):
-        """((num, den) of X, det A) with A X = B, or (None, 0) when A is
-        singular."""
-        n, da = a.rows, a.den
-        rows = [ra + rb for ra, rb in zip(a.num, b.num)]
-        dn = _bareiss_forward(rows, n)
-        if dn == 0:
-            return None, _F0
-        ys = _back_substitute(rows, n, dn)
-        if da != 1:
-            ys = [[da * y for y in row] for row in ys]
-        return self.normalise(ys, dn * b.den), Fraction(dn, da ** n)
+    """The type of ``QQ``, which names ℚ as the constructors' first argument."""
 
     def __repr__(self) -> str:
         return "QQ"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Rationals)
-
-    def __hash__(self) -> int:
-        return hash("QQ")
 
 
 QQ = Rationals()
 
 
-class Matrix:
-    """Dense matrix over a fixed field: integer rows ``num`` over one
-    positive denominator ``den``, in the field's canonical form.
+def _lift(rows):
+    """Canonical (num, den) of rows of Fractions or ints: den is the lcm
+    of the denominators, so no gcd pass is needed."""
+    den = lcm(*{x.denominator for row in rows for x in row})
+    if den == 1:
+        return [[x.numerator for x in row] for row in rows], 1
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
-    The constructor takes rows of field values or ints; :meth:`of` coerces
-    other entries through the field.  ``data``, ``entry`` and ``flat`` give
-    field values back.  Zero-row and zero-column shapes are legal (``cols``
-    must be passed explicitly when there are no rows to infer it from).
+
+def _normalise(num: list[list[int]], den: int):
+    """(num, den) over a positive den sharing no factor with all of num:
+    one gcd pass, which stops at the first row that brings it to 1."""
+    if den < 0:
+        num, den = [[-k for k in row] for row in num], -den
+    g = den
+    for row in num:
+        if g == 1:
+            return num, den
+        g = gcd(g, *row)
+    if g == 1:
+        return num, den
+    return [[k // g for k in row] for row in num], den // g
+
+
+def _value(k: int, den: int) -> Fraction:
+    return Fraction(k) if den == 1 else Fraction(k, den)
+
+
+def _solve_det(a: "Matrix", b: "Matrix"):
+    """((num, den) of X, det A) with A X = B, or (None, 0) when A is
+    singular."""
+    n, da = a.rows, a.den
+    rows = [ra + rb for ra, rb in zip(a.num, b.num)]
+    dn = _bareiss_forward(rows, n)
+    if dn == 0:
+        return None, Fraction(0)
+    ys = _back_substitute(rows, n, dn)
+    if da != 1:
+        ys = [[da * y for y in row] for row in ys]
+    return _normalise(ys, dn * b.den), Fraction(dn, da ** n)
+
+
+class Matrix:
+    """Dense rational matrix: integer rows ``num`` over one positive
+    denominator ``den``, in canonical form.
+
+    The constructor takes ``QQ`` and rows of ``Fraction``s or ints;
+    :meth:`of` also coerces other entries, such as ``"-3/7"``, through
+    ``Fraction``.  ``data``, ``entry`` and ``flat`` give ``Fraction``s back.
+    Zero-row and zero-column shapes are legal (``cols`` must be passed
+    explicitly when there are no rows to infer it from).
     """
 
-    __slots__ = ("field", "rows", "cols", "num", "den")
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, field, data: Sequence[Sequence], cols: int | None = None):
-        self.field = field
+        if field is not QQ:
+            raise TypeError(f"matrices are over QQ only, got {field!r}")
         self.rows = len(data)
         if data:
             self.cols = len(data[0])
@@ -152,26 +132,26 @@ class Matrix:
                     raise ValueError("ragged rows in matrix data")
         else:
             self.cols = 0 if cols is None else cols
-        self.num, self.den = field.lift(data)
+        self.num, self.den = _lift(data)
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def _raw(cls, field, num, den, cols) -> "Matrix":
+    def _raw(cls, num, den, cols) -> "Matrix":
         """The matrix num / den, trusted to be canonical already."""
         m = object.__new__(cls)
-        m.field, m.num, m.den, m.rows, m.cols = field, num, den, len(num), cols
+        m.num, m.den, m.rows, m.cols = num, den, len(num), cols
         return m
 
     @classmethod
-    def _normal(cls, field, num, den, cols) -> "Matrix":
-        return cls._raw(field, *field.normalise(num, den), cols)
+    def _normal(cls, num, den, cols) -> "Matrix":
+        return cls._raw(*_normalise(num, den), cols)
 
     @classmethod
     def of(cls, field, data: Sequence[Sequence], cols: int | None = None) -> "Matrix":
-        """Entries coerced through the field; ints go to ``lift`` as they are."""
-        of = field.of
-        return cls(field, [[x if type(x) is int else of(x) for x in row] for row in data], cols)
+        """Entries coerced through ``Fraction``; ints go to ``_lift`` as they are."""
+        return cls(field, [[x if type(x) is int else Fraction(x) for x in row] for row in data],
+                   cols)
 
     @classmethod
     def from_flat(cls, field, rows: int, cols: int, entries: Sequence) -> "Matrix":
@@ -180,23 +160,23 @@ class Matrix:
         return cls.of(field, [entries[r * cols:(r + 1) * cols] for r in range(rows)], cols)
 
     @classmethod
-    def identity(cls, n: int, field=QQ) -> "Matrix":
-        return scalar_matrix(n, field.one, field)
+    def identity(cls, n: int) -> "Matrix":
+        return scalar_matrix(n, 1)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int, field=QQ) -> "Matrix":
-        return cls._raw(field, [[0] * cols for _ in range(rows)], 1, cols)
+    def zeros(cls, rows: int, cols: int) -> "Matrix":
+        return cls._raw([[0] * cols for _ in range(rows)], 1, cols)
 
     # -- access ------------------------------------------------------------
 
     @property
     def data(self) -> list:
-        """The rows as field values (canonical ``Fraction``s over QQ)."""
-        value, den = self.field.value, self.den
-        return [[value(k, den) for k in row] for row in self.num]
+        """The rows as canonical ``Fraction``s."""
+        den = self.den
+        return [[_value(k, den) for k in row] for row in self.num]
 
     def entry(self, i: int, j: int):
-        return self.field.value(self.num[i][j], self.den)
+        return _value(self.num[i][j], self.den)
 
     def flat(self) -> list:
         return [x for row in self.data for x in row]
@@ -208,16 +188,13 @@ class Matrix:
         return not any(map(any, self.num))
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
-        return Matrix._normal(self.field, [row[c0:c1] for row in self.num[r0:r1]],
-                              self.den, c1 - c0)
+        return Matrix._normal([row[c0:c1] for row in self.num[r0:r1]], self.den, c1 - c0)
 
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other, same_shape: bool) -> None:
         if not isinstance(other, Matrix):
             raise TypeError(f"expected Matrix, got {type(other).__name__}")
-        if self.field != other.field:
-            raise ValueError(f"field mismatch: {self.field} vs {other.field}")
         if same_shape and (self.rows != other.rows or self.cols != other.cols):
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
@@ -233,7 +210,7 @@ class Matrix:
             fa, fb = den // da, den // db
             num = [[op(fa * x, fb * y) for x, y in zip(ra, rb)]
                    for ra, rb in zip(self.num, other.num)]
-        return Matrix._normal(self.field, num, den, self.cols)
+        return Matrix._normal(num, den, self.cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._entrywise(other, operator.add)
@@ -249,35 +226,36 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         if not (self.cols and other.cols):
-            return Matrix.zeros(self.rows, other.cols, self.field)
+            return Matrix.zeros(self.rows, other.cols)
         cols = list(zip(*other.num))
         num = [[sum(map(_mul, row, col)) for col in cols] for row in self.num]
-        return Matrix._normal(self.field, num, self.den * other.den, other.cols)
+        return Matrix._normal(num, self.den * other.den, other.cols)
 
     def scale(self, c) -> "Matrix":
-        p, q = self.field.split(c)
-        return Matrix._normal(self.field, [[p * k for k in row] for row in self.num],
-                              self.den * q, self.cols)
+        """c * self for a ``Fraction`` or int c."""
+        p = c.numerator
+        return Matrix._normal([[p * k for k in row] for row in self.num],
+                              self.den * c.denominator, self.cols)
 
     def add_scalar(self, c) -> "Matrix":
-        """self + c * I for a square matrix and a field element c."""
+        """self + c * I for a square matrix and a ``Fraction`` or int c."""
         if not self.is_square():
             raise ValueError(f"cannot add a scalar to a {self.rows}x{self.cols} matrix")
-        p, q = self.field.split(c)
+        p, q = c.numerator, c.denominator
         den = lcm(self.den, q)
         f, diag = den // self.den, p * (den // q)
         num = [[f * k for k in row] for row in self.num]
         for i, row in enumerate(num):
             row[i] += diag
-        return Matrix._normal(self.field, num, den, self.cols)
+        return Matrix._normal(num, den, self.cols)
 
     def transpose(self) -> "Matrix":
         if not self.num:
-            return Matrix._raw(self.field, [[] for _ in range(self.cols)], 1, 0)
-        return Matrix._raw(self.field, [list(col) for col in zip(*self.num)], self.den, self.rows)
+            return Matrix._raw([[] for _ in range(self.cols)], 1, 0)
+        return Matrix._raw([list(col) for col in zip(*self.num)], self.den, self.rows)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Matrix) and self.field == other.field
+        return (isinstance(other, Matrix)
                 and self.rows == other.rows and self.cols == other.cols
                 and self.den == other.den and self.num == other.num)
 
@@ -286,14 +264,16 @@ class Matrix:
 
     def __repr__(self) -> str:
         if self.rows * self.cols > 36:
-            return f"Matrix({self.field}, {self.rows}x{self.cols})"
-        return f"Matrix({self.field}, {self.data})"
+            return f"Matrix(QQ, {self.rows}x{self.cols})"
+        return f"Matrix(QQ, {self.data})"
 
 
-def scalar_matrix(n: int, c, field=QQ) -> Matrix:
+def scalar_matrix(n: int, c) -> Matrix:
     """c times the n-by-n identity."""
-    p, q = field.split(field.of(c))
-    return Matrix._normal(field, [[p if i == j else 0 for j in range(n)] for i in range(n)], q, n)
+    c = Fraction(c)
+    p = c.numerator
+    return Matrix._normal([[p if i == j else 0 for j in range(n)] for i in range(n)],
+                          c.denominator, n)
 
 
 # -- Kronecker structure ----------------------------------------------------
@@ -321,16 +301,16 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                 else:
                     row += [av * bv for bv in brow]
             num.append(row)
-    return Matrix._normal(a.field, num, a.den * b.den, a.cols * b.cols)
+    return Matrix._normal(num, a.den * b.den, a.cols * b.cols)
 
 
 def block_matrix(grid: Sequence[Sequence[Matrix]]) -> Matrix:
     """The matrix laid out from a non-empty rectangular grid of blocks.
 
     Blocks in one grid row share their row count, blocks in one grid column
-    their column count, and all blocks one field; empty blocks are fine.
-    The blocks' rows are brought over the lcm of their denominators, which
-    keeps the result canonical as ``lift`` does for entries.
+    their column count; empty blocks are fine.  The blocks' rows are
+    brought over the lcm of their denominators, which keeps the result
+    canonical as ``_lift`` does for entries.
     """
     if not grid or not grid[0] or any(len(band) != len(grid[0]) for band in grid):
         raise ValueError("block grid must be a non-empty rectangle")
@@ -349,13 +329,13 @@ def block_matrix(grid: Sequence[Sequence[Matrix]]) -> Matrix:
                  else [[den // block.den * k for k in row] for row in block.num]
                  for block in band]
         num += [[k for part in parts for k in part] for parts in zip(*lines)]
-    return Matrix._raw(first.field, num, den, sum(widths))
+    return Matrix._raw(num, den, sum(widths))
 
 
 def direct_sum(a: Matrix, b: Matrix) -> Matrix:
     """Block diagonal stacking; tolerates empty summands."""
-    return block_matrix([[a, Matrix.zeros(a.rows, b.cols, a.field)],
-                         [Matrix.zeros(b.rows, a.cols, a.field), b]])
+    return block_matrix([[a, Matrix.zeros(a.rows, b.cols)],
+                         [Matrix.zeros(b.rows, a.cols), b]])
 
 
 def place(a: Matrix, slots: Sequence[int], dims: Sequence[int]) -> Matrix:
@@ -396,7 +376,7 @@ def place(a: Matrix, slots: Sequence[int], dims: Sequence[int]) -> Matrix:
                 row[start:start + width:post] = arow
                 num.append(row)
     # an empty image has den 1, like every empty matrix
-    return Matrix._raw(a.field, num, a.den if num else 1, pre * width)
+    return Matrix._raw(num, a.den if num else 1, pre * width)
 
 
 def tau_embed(i: int, a: Matrix, dims: Sequence[int]) -> Matrix:
@@ -427,7 +407,7 @@ def _factor_sources(pi: Sequence[int], dims: Sequence[int]) -> list[int]:
     return out
 
 
-def commutation_matrix(pi: Sequence[int], dims: Sequence[int], field=QQ) -> Matrix:
+def commutation_matrix(pi: Sequence[int], dims: Sequence[int]) -> Matrix:
     """Permutation matrix K with kron(a_pi(1), ..) = K @ kron(a_1, ..) @ K^T.
 
     ``pi`` is 1-based: pi[k] is the original slot that lands in position k+1.
@@ -438,7 +418,7 @@ def commutation_matrix(pi: Sequence[int], dims: Sequence[int], field=QQ) -> Matr
     num = [[0] * n for _ in range(n)]
     for dst, src in enumerate(sources):
         num[dst][src] = 1
-    return Matrix._raw(field, num, 1, n)
+    return Matrix._raw(num, 1, n)
 
 
 def permute_kron_factors(m: Matrix, pi: Sequence[int], dims: Sequence[int]) -> Matrix:
@@ -448,7 +428,7 @@ def permute_kron_factors(m: Matrix, pi: Sequence[int], dims: Sequence[int]) -> M
     if m.rows != n or m.cols != n:
         raise ValueError(f"matrix is {m.rows}x{m.cols}, dims imply {n}")
     t = _factor_sources(pi, dims)
-    return Matrix._raw(m.field, [[m.num[i][j] for j in t] for i in t], m.den, n)
+    return Matrix._raw([[m.num[i][j] for j in t] for i in t], m.den, n)
 
 
 # -- elimination -------------------------------------------------------------
@@ -511,7 +491,7 @@ def det(a: Matrix):
     """Exact determinant; empty matrices have determinant one."""
     if not a.is_square():
         raise ValueError("determinant of a non-square matrix")
-    return a.field.solve_det(a, Matrix.zeros(a.rows, 0, a.field))[1]
+    return _solve_det(a, Matrix.zeros(a.rows, 0))[1]
 
 
 def _det_mod(num: list[list[int]], p: int) -> int:
@@ -558,15 +538,13 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
         raise ValueError("solve needs a square coefficient matrix")
     if a.rows != b.rows:
         raise ValueError("right-hand side has wrong number of rows")
-    if a.field != b.field:
-        raise ValueError(f"field mismatch: {a.field} vs {b.field}")
-    x, _ = a.field.solve_det(a, b)
-    return None if x is None else Matrix._raw(a.field, *x, b.cols)
+    x, _ = _solve_det(a, b)
+    return None if x is None else Matrix._raw(*x, b.cols)
 
 
 def inv_det(a: Matrix):
     """(A^{-1}, det A) for invertible A, or None when A is singular."""
     if not a.is_square():
         raise ValueError("inverse of a non-square matrix")
-    x, d = a.field.solve_det(a, Matrix.identity(a.rows, a.field))
-    return None if x is None else (Matrix._raw(a.field, *x, a.rows), d)
+    x, d = _solve_det(a, Matrix.identity(a.rows))
+    return None if x is None else (Matrix._raw(*x, a.rows), d)

@@ -103,13 +103,9 @@ class Realization:
     def g(self) -> int:
         return len(self.p)
 
-    @property
-    def field(self):
-        return self.p[0].field
 
-
-def _zeros(m: int, field) -> Matrix:
-    return Matrix.zeros(m, m, field)
+def _zeros(m: int) -> Matrix:
+    return Matrix.zeros(m, m)
 
 
 def _couple(C: Blocks, c: Sequence[Matrix], left: Sequence[Matrix], shift: int) -> Blocks:
@@ -139,14 +135,13 @@ def _couple(C: Blocks, c: Sequence[Matrix], left: Sequence[Matrix], shift: int) 
     return out
 
 
-def _const_real(value: Fraction, m: int, p: tuple[Matrix, ...], field) -> Realization:
-    return Realization(m, p, 1, (scalar_matrix(m, field.of(value), field),),
-                       (Matrix.identity(m, field),), {}, {})
+def _const_real(value: Fraction, m: int, p: tuple[Matrix, ...]) -> Realization:
+    return Realization(m, p, 1, (scalar_matrix(m, value),), (Matrix.identity(m),), {}, {})
 
 
-def _letter_real(i: int, m: int, p: tuple[Matrix, ...], field) -> Realization:
-    eye = Matrix.identity(m, field)
-    return Realization(m, p, 2, (eye, _zeros(m, field)), (p[i - 1], eye), {1: i}, {(0, 1): eye})
+def _letter_real(i: int, m: int, p: tuple[Matrix, ...]) -> Realization:
+    eye = Matrix.identity(m)
+    return Realization(m, p, 2, (eye, _zeros(m)), (p[i - 1], eye), {1: i}, {(0, 1): eye})
 
 
 def _sum_real(r: Realization, s: Realization) -> Realization:
@@ -162,9 +157,8 @@ def _prod_real(r: Realization, s: Realization, s_at_p: Matrix) -> Realization:
     The coupling is a constant block, which a pencil cannot carry directly;
     it is folded into the s-side C blocks, and b_r takes s's value at p.
     """
-    m, field = r.m, r.field
-    n = r.dim
-    c = r.c + (_zeros(m, field),) * s.dim
+    m, n = r.m, r.dim
+    c = r.c + (_zeros(m),) * s.dim
     b = tuple(bk @ s_at_p for bk in r.b) + s.b
     letters = r.letters | {n + u: letter for u, letter in s.letters.items()}
     C = r.C | _couple(s.C, s.c, r.b, n)
@@ -173,8 +167,8 @@ def _prod_real(r: Realization, s: Realization, s_at_p: Matrix) -> Realization:
 
 def _inverse_real(r: Realization, vinv: Matrix) -> Realization:
     """One extra coordinate, whose constant term is vinv, the inverse of r at p."""
-    m, field = r.m, r.field
-    c = (Matrix.identity(m, field),) + (_zeros(m, field),) * r.dim
+    m = r.m
+    c = (Matrix.identity(m),) + (_zeros(m),) * r.dim
     b = (vinv,) + tuple(-(bk @ vinv) for bk in r.b)
     letters = {u + 1: letter for u, letter in r.letters.items()}
     return Realization(m, r.p, r.dim + 1, c, b, letters, _couple(r.C, r.c, b, 1))
@@ -190,16 +184,16 @@ def realize(e: Expr, alphabet: Alphabet, p: Sequence[Matrix]) -> Realization:
     """
     point = NcPoint(alphabet, tuple(p))
     validate_vars(e, alphabet)
-    m, field, pt = point.n, point.field, point.mats
+    m, pt = point.n, point.mats
     positions = {(v.part, v.index, v.primed): i + 1 for i, v in enumerate(alphabet.letters())}
 
     def rule(node: Expr, kids: list[tuple[Realization, Matrix]]) -> tuple[Realization, Matrix]:
         if isinstance(node, Const):
-            r = _const_real(node.value, m, pt, field)
+            r = _const_real(node.value, m, pt)
             return r, r.c[0]
         if isinstance(node, Var):
             i = positions[(node.part, node.index, node.primed)]
-            return _letter_real(i, m, pt, field), pt[i - 1]
+            return _letter_real(i, m, pt), pt[i - 1]
         if isinstance(node, Sum):
             return reduce(_sum_real, [r for r, _ in kids]), reduce(add, [v for _, v in kids])
         if isinstance(node, Product):
@@ -224,19 +218,18 @@ def _amplified_pencil(r: Realization, a: Sequence[Matrix]) -> Matrix:
     if len(a) != r.g:
         raise ValueError(f"expected {r.g} point matrices, got {len(a)}")
     size = a[0].rows
-    field = r.field
     for mat in a:
-        if not (mat.is_square() and mat.rows == size and mat.field == field):
-            raise ValueError("point matrices must be square, equal size, same field")
+        if not (mat.is_square() and mat.rows == size):
+            raise ValueError("point matrices must be square, equal size")
     if size % r.m:
         raise ValueError(f"point size {size} is not a multiple of the base size {r.m}")
     dims = (size // r.m, r.m)
     diffs = [a[i] - tau_embed(2, r.p[i], dims) for i in range(r.g)]
     n = r.dim
     if n == 0:
-        return Matrix.zeros(0, 0, field)
-    eye_size = Matrix.identity(size, field)
-    zero_size = Matrix.zeros(size, size, field)
+        return Matrix.zeros(0, 0)
+    eye_size = Matrix.identity(size)
+    zero_size = Matrix.zeros(size, size)
     grid = [[eye_size if k == l else zero_size for l in range(n)] for k in range(n)]
     for (k, u), mat in r.C.items():
         grid[k][u] = grid[k][u] - tau_embed(2, mat, dims) @ diffs[r.letters[u] - 1]
@@ -248,13 +241,12 @@ def real_evaluate(r: Realization, a: Sequence[Matrix]) -> Matrix | PencilSingula
     lam = _amplified_pencil(r, a)
     size = a[0].rows
     dims = (size // r.m, r.m)
-    field = r.field
     if r.dim == 0:
-        return Matrix.zeros(size, size, field)
+        return Matrix.zeros(size, size)
     x = solve(lam, block_matrix([[tau_embed(2, bk, dims)] for bk in r.b]))
     if x is None:
         return PencilSingular()
-    out = Matrix.zeros(size, size, field)
+    out = Matrix.zeros(size, size)
     for k in range(r.dim):
         ck = r.c[k]
         if ck.is_zero():

@@ -562,6 +562,8 @@ LETTER_FREE = {
     "sum": (Sum((c(3), c(-1))), F(2)),
     "product": (Product((c(-2), c(F(1, 4)))), F(-1, 2)),
     "nested": (Sum((Product((c(2), c(3))), c(F(-1, 2)))), F(11, 2)),
+    "inverse": (Inverse(Sum((c(1), c(3)))), F(1, 4)),
+    "product with an inverse": (Product((c(2), Inverse(c(4)))), F(1, 2)),
 }
 
 

@@ -5,6 +5,9 @@ module imports only names it uses.  The one exception is a name that
 ``perfbench/tracing.py`` wraps where a module binds it (its ``SITES``):
 the tracer replaces that module attribute, so the import must stay even
 when the module no longer calls it.
+
+The number type is the kernel's alone: outside ``matrix_kernel`` no module
+reads an attribute named ``field`` or imports ``Rationals``.
 """
 
 import ast
@@ -63,3 +66,17 @@ def test_every_unused_import_is_a_traced_site():
         "mprat.matrix_rational": {"det", "is_zero"},
         "mprat.realization": {"det", "kron"},
     }
+
+
+def test_only_the_kernel_knows_the_number_type():
+    leaks = []
+    for path in SOURCES:
+        if path.stem == "matrix_kernel":
+            continue
+        tree = ast.parse(path.read_text())
+        leaks += [(path.name, node.lineno, "field") for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "field"]
+        leaks += [(path.name, node.lineno, "Rationals") for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and any(alias.name == "Rationals" for alias in node.names)]
+    assert leaks == []

@@ -8,11 +8,11 @@ from math import prod
 import pytest
 
 from helpers import l_eye, l_inv, l_kron, l_mul, laplace_det
+from mprat import matrix_kernel
 from mprat.matrix_kernel import (
     MERSENNE61,
     QQ,
     Matrix,
-    Rationals,
     _det_mod,
     _det_nonzero,
     block_matrix,
@@ -64,6 +64,20 @@ def test_construction_and_access():
     assert not a.is_zero()
     assert Matrix.zeros(2, 3).is_zero()
     assert Matrix.identity(2) == Matrix.of(QQ, [[1, 0], [0, 1]])
+
+
+def test_constructors_take_qq_first_and_nothing_else():
+    rows = [[F(1), F(1, 2)], [F(0), F(-3)]]
+    a = Matrix(QQ, rows)
+    assert Matrix.of(QQ, [[1, "1/2"], [0, -3]]) == a
+    assert Matrix.from_flat(QQ, 2, 2, [1, F(1, 2), 0, "-3"]) == a
+    assert repr(a) == f"Matrix(QQ, {rows})"
+    assert repr(Matrix.zeros(7, 6)) == "Matrix(QQ, 7x6)"
+    for make in (lambda: Matrix(None, rows),
+                 lambda: Matrix.of("QQ", rows),
+                 lambda: Matrix.from_flat(F(1), 2, 2, [1, 0, 0, 1])):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_ragged_rows_rejected():
@@ -167,9 +181,7 @@ def test_block_matrix_matches_list_reference():
              [[block(2, 0)], [block(1, 0)]]]
     for grid in grids:
         data, cols = l_blocks(grid)
-        out = block_matrix(grid)
-        assert out.field == QQ
-        assert out == Matrix(QQ, data, cols)
+        assert block_matrix(grid) == Matrix(QQ, data, cols)
     a = grids[0][0][0]
     assert block_matrix([[a]]) == a
 
@@ -372,12 +384,12 @@ def test_singular_paths():
 
 def test_det_nonzero_is_decided_mod_p_first(monkeypatch):
     exact = []
-    solve_det = Rationals.solve_det
+    solve_det = matrix_kernel._solve_det
 
-    def counted(self, a, b):
+    def counted(a, b):
         exact.append(a.rows)
-        return solve_det(self, a, b)
-    monkeypatch.setattr(Rationals, "solve_det", counted)
+        return solve_det(a, b)
+    monkeypatch.setattr(matrix_kernel, "_solve_det", counted)
     p = MERSENNE61
     cases = [
         # det = p: 0 mod p, nonzero through the exact fallback
