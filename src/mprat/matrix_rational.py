@@ -134,14 +134,6 @@ def matrix_invertible(
     return ProbablyNotInvertible(cfg.max_level, cfg.trials_per_level)
 
 
-def _swapped(entries: list[list[Expr]], pr: int, pc: int) -> list[list[Expr]]:
-    rows = list(range(len(entries)))
-    rows[0], rows[pr] = rows[pr], rows[0]
-    cols = list(range(len(entries)))
-    cols[0], cols[pc] = cols[pc], cols[0]
-    return [[entries[r][c] for c in cols] for r in rows]
-
-
 def _schur_inverse(
     entries: list[list[Expr]],
     alphabet: Alphabet,
@@ -164,24 +156,26 @@ def _schur_inverse(
         raise NotInvertible(f"no certified-nonzero pivot at recursion depth {depth}")
     pr, pc, witness = pivot
     log.append(PivotRecord(depth, pr, pc, witness))
+    ainv = inverse_of(entries[pr][pc])
     if d == 1:
-        return [[inverse_of(entries[0][0])]]
+        return [[ainv]]
 
-    m2 = _swapped(entries, pr, pc)
-    a = m2[0][0]
-    ainv = inverse_of(a)
-    beta = m2[0][1:]
-    gamma = [m2[i][0] for i in range(1, d)]
-    rest = [row[1:] for row in m2[1:]]
+    # the other rows and columns in natural order, row 0 (column 0) in the
+    # pivot's place: the order a swap of the pivot to (0, 0) leaves them in,
+    # which the complement's row-major pivot search and its log depend on
+    rs = [0 if r == pr else r for r in range(1, d)]
+    cs = [0 if c == pc else c for c in range(1, d)]
+    beta = [entries[pr][c] for c in cs]
+    gamma = [entries[r][pc] for r in rs]
     schur = [
         [
             expr_sum([
-                rest[i][j],
+                entries[r][c],
                 expr_neg(expr_product([gamma[i], ainv, beta[j]], absorb_zero=True)),
             ])
-            for j in range(d - 1)
+            for j, c in enumerate(cs)
         ]
-        for i in range(d - 1)
+        for i, r in enumerate(rs)
     ]
     sinv = _schur_inverse(schur, alphabet, cfg, depth + 1, log, evaluate)
 
@@ -193,30 +187,22 @@ def _schur_inverse(
             for j in range(d - 1)
         ),
     ])
-    top = [
-        expr_neg(expr_sum([
+    # row k of the inverse belongs to column k of the matrix, column l to row
+    # l: the corner sits at (pc, pr), and every other entry is written below
+    inv: list[list[Expr]] = [[corner] * d for _ in range(d)]
+    for j, r in enumerate(rs):
+        inv[pc][r] = expr_neg(expr_sum([
             expr_product([ainv, beta[i], sinv[i][j]], absorb_zero=True)
             for i in range(d - 1)
         ]))
-        for j in range(d - 1)
-    ]
-    left = [
-        expr_neg(expr_sum([
+    for i, c in enumerate(cs):
+        inv[c][pr] = expr_neg(expr_sum([
             expr_product([sinv[i][j], gamma[j], ainv], absorb_zero=True)
             for j in range(d - 1)
         ]))
-        for i in range(d - 1)
-    ]
-    inv2 = [[corner, *top]] + [[left[i], *sinv[i]] for i in range(d - 1)]
-
-    # m = P m2 Q for the two transpositions, so inv(m) = Q inv(m2) P
-    def q(i: int) -> int:
-        return {0: pc, pc: 0}.get(i, i)
-
-    def p(j: int) -> int:
-        return {0: pr, pr: 0}.get(j, j)
-
-    return [[inv2[q(i)][p(j)] for j in range(d)] for i in range(d)]
+        for j, r in enumerate(rs):
+            inv[c][r] = sinv[i][j]
+    return inv
 
 
 def matrix_inverse_expr(m: ExprMatrix, cfg: TestConfig | None = None) -> SchurInverse:

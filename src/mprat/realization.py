@@ -211,48 +211,41 @@ def realize(e: Expr, alphabet: Alphabet, p: Sequence[Matrix]) -> Realization:
     return fold(e, rule)[0]
 
 
-
-
-def _amplified_pencil(r: Realization, a: Sequence[Matrix]) -> Matrix:
-    """I - (I_s (x) C)(I_n (x) diag(a_l(u) - I_s (x) p_l(u))), dense."""
+def _amplified_pencil(r: Realization, a: Sequence[Matrix]) -> tuple[Matrix, tuple[int, int]]:
+    """I - (I_s (x) C)(I_n (x) diag(a_l(u) - I_s (x) p_l(u))), dense, and the
+    slot sizes (s, m) of the amplification."""
     if len(a) != r.g:
         raise ValueError(f"expected {r.g} point matrices, got {len(a)}")
     size = a[0].rows
     for mat in a:
         if not (mat.is_square() and mat.rows == size):
             raise ValueError("point matrices must be square, equal size")
-    if size % r.m:
+    # about a 0x0 base point every amplification is 0x0, so s = 0 will do
+    s = size // r.m if r.m else 0
+    if s * r.m != size:
         raise ValueError(f"point size {size} is not a multiple of the base size {r.m}")
-    dims = (size // r.m, r.m)
+    dims = (s, r.m)
     diffs = [a[i] - tau_embed(2, r.p[i], dims) for i in range(r.g)]
     n = r.dim
     if n == 0:
-        return Matrix.zeros(0, 0)
+        return Matrix.zeros(0, 0), dims
     eye_size = Matrix.identity(size)
     zero_size = Matrix.zeros(size, size)
     grid = [[eye_size if k == l else zero_size for l in range(n)] for k in range(n)]
     for (k, u), mat in r.C.items():
         grid[k][u] = grid[k][u] - tau_embed(2, mat, dims) @ diffs[r.letters[u] - 1]
-    return block_matrix(grid)
+    return block_matrix(grid), dims
 
 
 def real_evaluate(r: Realization, a: Sequence[Matrix]) -> Matrix | PencilSingular:
     """c (I - L(a - p))^{-1} b with every block amplified to the size of a."""
-    lam = _amplified_pencil(r, a)
-    size = a[0].rows
-    dims = (size // r.m, r.m)
+    lam, dims = _amplified_pencil(r, a)
     if r.dim == 0:
-        return Matrix.zeros(size, size)
+        return Matrix.zeros(a[0].rows, a[0].rows)
     x = solve(lam, block_matrix([[tau_embed(2, bk, dims)] for bk in r.b]))
     if x is None:
         return PencilSingular()
-    out = Matrix.zeros(size, size)
-    for k in range(r.dim):
-        ck = r.c[k]
-        if ck.is_zero():
-            continue
-        out = out + tau_embed(2, ck, dims) @ x.submatrix(k * size, (k + 1) * size, 0, size)
-    return out
+    return block_matrix([[tau_embed(2, ck, dims) for ck in r.c]]) @ x
 
 
 def real_domain_contains(r: Realization, a: Sequence[Matrix]) -> bool:
@@ -261,7 +254,7 @@ def real_domain_contains(r: Realization, a: Sequence[Matrix]) -> bool:
     A dim-0 pencil is the empty matrix, whose determinant is one, so the
     point is still checked and then always lies in the domain.
     """
-    return _det_nonzero(_amplified_pencil(r, a))
+    return _det_nonzero(_amplified_pencil(r, a)[0])
 
 
 def _closure(start: set[int], step: dict[int, list[int]]) -> set[int]:

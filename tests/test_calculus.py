@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import mprat.calculus
 from helpers import rand_invertible, rand_matrix
 from mprat.calculus import (
     delta,
@@ -255,3 +256,17 @@ def test_verify_fund_undefined_raises():
     a = Matrix.identity(2)
     with pytest.raises(UndefinedError):
         verify_fund(parse("inv(X1_1)", ab), (a,), (z,), (F(1),), (), ab)
+
+
+def test_verify_fund_false_when_the_corner_is_wrong(monkeypatch):
+    # a directional delta off by one puts the wrong upper-right block beside
+    # the evaluated one
+    ab = Alphabet((1,))
+    rng = random.Random("vf-false")
+    ap, a = rand_matrix(rng, 2), rand_matrix(rng, 2)
+    e = parse("X1_1 * X1_1", ab)
+    assert verify_fund(e, (ap,), (a,), (F(1),), (), ab)
+    right = mprat.calculus.directional_delta
+    monkeypatch.setattr(mprat.calculus, "directional_delta",
+                        lambda *args: expr_sum([right(*args), Const(F(1))]))
+    assert verify_fund(e, (ap,), (a,), (F(1),), (), ab) is False

@@ -205,6 +205,24 @@ def test_domain_scan_nowhere(tmp_path, capsys):
     assert rep == {"status": "no-defined-point", "max_level": 2, "trials": 2}
 
 
+def test_nowhere_defined_verdict_exit_3(tmp_path, capsys):
+    nowhere = w(tmp_path, "n.expr", "inv(X1_1 - X1_1)")
+    x = w(tmp_path, "x.expr", "X1_1")
+    want = '{"verdict":"nowhere-defined","path":[],"subexpression":"inv(X1_1 - X1_1)"}\n'
+    for argv in (["check-zero", "--alphabet", "1:1", "--expr", nowhere],
+                 ["equiv", "--alphabet", "1:1", nowhere, x],
+                 ["equiv", "--alphabet", "1:1", x, nowhere]):
+        assert run(capsys, *argv) == (3, want, "")
+
+
+def test_bf_eval_undefined_exit_3(tmp_path, capsys):
+    point = wj(tmp_path, "bf.json", {"n": 1, "a_outer": [["0"]], "a_inner": [["1"]],
+                                     "b_inner": [["1"]], "b_outer": [["1"]]})
+    expr = w(tmp_path, "e.expr", "inv(X1_1)")
+    assert run(capsys, "bf-eval", "--g", "1", "--expr", expr, "--point", point) == (
+        3, '{"status":"undefined","path":[],"subexpression":"inv(X1_1)"}\n', "")
+
+
 def test_mat_inv_triangular(tmp_path, capsys):
     mat = wj(tmp_path, "m.json", {"entries": [["X1_1", "1"], ["0", "X1_1"]]})
     code, rep = jrun(capsys, "mat-inv", "--alphabet", "1:1", "--matrix", mat)
@@ -275,6 +293,69 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                                       "b_inner": [], "b_outer": []})
     assert main(["bf-eval", "--g", "0", "--expr", e, "--point", point]) == 2
     assert capsys.readouterr() == ("", "error: --g must be at least 1 (got 0)\n")
+    # one input per other check on the input: each exits 2, prints nothing on
+    # stdout and one error line, naming what is wrong, on stderr
+    e2 = w(tmp_path, "e2.expr", "X1_1 * X2_1")
+    files = iter(range(100))
+
+    def pt(doc):
+        # each case its own file: the list is built before any case runs
+        return wj(tmp_path, f"f{next(files)}.json", doc)
+
+    one = {"dims": [1], "parts": [[["1"]]]}
+    cases = [
+        (["check-zero", "--alphabet", "1", "--expr", e], "must look like G:g1,g2"),
+        (["check-zero", "--alphabet", "1:x", "--expr", e], "must list integers"),
+        (["check-zero", "--alphabet", "1:0", "--expr", e], "at least one letter"),
+        (["eval", "--alphabet", "1:1", "--expr", e,
+          "--point", pt({"dims": [1], "parts": [[[1.5]]]})], "integers or 'p/q' strings"),
+        (["eval", "--alphabet", "1:1", "--expr", e,
+          "--point", pt({"dims": [1], "parts": [[[True]]]})], "integers or 'p/q' strings"),
+        (["eval", "--alphabet", "1:1", "--expr", e,
+          "--point", pt({"dims": [1], "parts": [[["1/0"]]]})], "not a rational: '1/0'"),
+        (["eval", "--alphabet", "1:1", "--expr", e,
+          "--point", pt({"dims": [2], "parts": [[["1"]]]})], "list of 4 entries"),
+        (["eval", "--alphabet", "1:1", "--expr", e, "--point", pt({"dims": [1]})],
+         "need 'dims' and 'parts' keys"),
+        (["eval", "--alphabet", "1:1", "--expr", e, "--point", pt({"dims": 1, "parts": 1})],
+         "must be lists"),
+        (["eval", "--alphabet", "1:1", "--expr", e,
+          "--point", pt({"dims": [1, 1], "parts": [[["1"]]]})], "2 dims but 1 parts"),
+        (["eval", "--alphabet", "2:1,1", "--expr", e, "--point", pt(one)],
+         "alphabet has 2 parts, file has 1"),
+        (["eval", "--alphabet", "1:2", "--expr", e, "--point", pt(one)],
+         "part 1 needs 2 matrices"),
+        (["realize", "--alphabet", "2:1,1", "--expr", e2, "--base-point",
+          pt({"dims": [1, 2], "parts": [[["1"]], [["1", "0", "0", "1"]]]})],
+         "one common size, got dims [1, 2]"),
+        (["check-zero", "--alphabet", "1:1", "--expr", e, "--trials", "0"], "must be ≥ 1"),
+        (["delta", "--alphabet", "1:1", "--expr", e, "--part", "3", "--index", "1"],
+         "part 3 out of range"),
+        (["bf-eval", "--g", "1", "--expr", e, "--point", pt({})],
+         "need an 'n' key"),
+        (["bf-eval", "--g", "1", "--expr", e,
+          "--point", pt({"n": 1, "a_outer": [["1"]], "a_inner": [["1"]], "b_inner": []})],
+         "'b_inner' needs 1 matrices"),
+        (["mat-inv", "--alphabet", "1:1", "--matrix", pt({})], "need an 'entries' key"),
+        (["mat-inv", "--alphabet", "1:1", "--matrix", pt({"entries": ["X1_1"]})],
+         "must be a list of rows"),
+        (["mat-inv", "--alphabet", "1:1", "--matrix", pt({"entries": [[1]]})],
+         "entry (0,0) must be an expression string"),
+        (["mat-inv", "--alphabet", "1:1", "--matrix", pt({"entries": [["X1_1", "1"]]})],
+         "matrix must be square"),
+        (["partial-eval", "--alphabet", "2:1,1", "--expr", e2,
+          "--point", pt({"dims": [1, 1], "parts": [[["1"]], [["1"]]]})],
+         "takes a one-part point file"),
+        (["partial-eval", "--alphabet", "2:2,1", "--expr", e2, "--point", pt(one)],
+         "part 1 needs 2 matrices"),
+        (["partial-eval", "--alphabet", "1:1", "--expr", e, "--point", pt(one)],
+         "need at least one remaining part"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert message in err, (argv, err)
 
 
 def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):

@@ -8,6 +8,9 @@ when the module no longer calls it.
 
 The number type is the kernel's alone: outside ``matrix_kernel`` no module
 reads an attribute named ``field`` or imports ``Rationals``.
+
+Every module parses as Python 3.10, the oldest version ``pyproject.toml``
+allows.
 """
 
 import ast
@@ -80,3 +83,9 @@ def test_only_the_kernel_knows_the_number_type():
                   if isinstance(node, ast.ImportFrom)
                   and any(alias.name == "Rationals" for alias in node.names)]
     assert leaks == []
+
+
+def test_sources_parse_as_python_3_10():
+    # rejects newer syntax such as except*
+    for path in SOURCES:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -180,6 +180,21 @@ def test_size_must_be_multiple():
         real_evaluate(r, [rand_matrix(rng, 3), rand_matrix(rng, 3)])
 
 
+def test_zero_size_base_point():
+    # about a 0x0 base point only a 0x0 point fits, and its value is 0x0
+    ab = Alphabet((1,))
+    z = Matrix.zeros(0, 0)
+    e = parse("inv(X1_1 + 1)", ab)
+    r = realize(e, ab, [z])
+    assert r.dim == 4
+    for rr in (r, real_reduce(r)):
+        assert real_evaluate(rr, [z]) == z == nc_evaluate(e, NcPoint(ab, (z,)))
+        assert real_domain_contains(rr, [z])
+        for check in (real_evaluate, real_domain_contains):
+            with pytest.raises(ValueError, match="not a multiple of the base size 0"):
+                check(rr, [Matrix.identity(1)])
+
+
 def test_corpus_agreement_both_sizes():
     rng = random.Random("re-corpus")
     for e in corpus():
