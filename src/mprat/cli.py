@@ -484,3 +484,7 @@ def main(argv=None) -> int:
         return 4
     print(out)
     return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

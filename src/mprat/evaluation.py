@@ -14,8 +14,8 @@ Three evaluation models share one engine:
 
 An inverse of a singular matrix does not raise; evaluation returns an
 ``Undefined`` record naming the offending Inverse node and its path from
-the root, and the failure propagates outward.  Within one call, shared
-subtrees are evaluated once.
+the root, and the failure propagates outward.  Within one call, each node,
+and so each distinct subexpression (nodes are interned), is evaluated once.
 
 Values are slot-local.  The value of a subtree with letters is a pair
 (slots, M): slots is the sorted tuple of tensor slots its letters touch,
@@ -43,7 +43,6 @@ of the root, c * I.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from math import prod
 from operator import add, mul
@@ -188,19 +187,18 @@ class Evaluator:
     Reusable across expressions over the same point: matrix_rational
     evaluates whole expression matrices, and every pivot test of one Schur
     recursion at one sample point, through one instance.  The memo maps
-    id(node) to (node, value); holding the node keeps its id from being
-    reused by a later expression.  The value is a ``Fraction`` c standing
-    for c * I when the subtree has no letters, a pair (slots, M) of the
-    sorted tensor slots its letters touch and a matrix M on them, or None
-    for an inverse of a singular value.  ``n`` is the size of a root value,
-    the product of the slot sizes.
+    each node to its value: a ``Fraction`` c standing for c * I when the
+    subtree has no letters, a pair (slots, M) of the sorted tensor slots its
+    letters touch and a matrix M on them, or None for an inverse of a
+    singular value.  ``n`` is the size of a root value, the product of the
+    slot sizes.
 
     A run does not enter a memoized subtree whose value is defined: walk
-    gets the ids of the defined values as its ``seen`` set.  Every node
+    gets the nodes of the defined values as its ``seen`` set.  Every node
     below a defined one is defined, because a run stops at the first None
     and never computes that node's parents.  So the skipped nodes hold no
     None, and the first Undefined in walk order, with its path, is the one
-    a full walk would meet.  An id whose value is None, or whose letter is
+    a full walk would meet.  A node whose value is None, or whose letter is
     missing from the point, leaves the set again.
     """
 
@@ -211,8 +209,8 @@ class Evaluator:
         self.n = prod(self.dims)
         self.lookup = {(v.part, v.index, v.primed): val
                        for v, val in zip(self.alphabet.letters(), values)}
-        self.memo: dict[int, tuple[Expr, object]] = {}
-        self.defined: set[int] = set()
+        self.memo: dict[Expr, object] = {}
+        self.defined: set[Expr] = set()
 
     def run(self, e: Expr) -> Matrix | Undefined:
         """Value of e, or the Undefined of the first singular inverse in walk
@@ -228,19 +226,18 @@ class Evaluator:
             return Matrix.zeros(0, 0)
         memo, defined = self.memo, self.defined
         for node in walk(e, seen=defined):
-            hit = memo.get(id(node))
-            if hit is None:
+            if node not in memo:
                 try:
-                    hit = memo[id(node)] = (node, self._value(node))
+                    memo[node] = self._value(node)
                 except KeyError:  # a letter missing from the point
-                    defined.discard(id(node))
+                    defined.discard(node)
                     validate_vars(e, self.alphabet)
                     raise
-            if hit[1] is None:
-                defined.discard(id(node))
+            if memo[node] is None:
+                defined.discard(node)
                 validate_vars(e, self.alphabet)
                 return Undefined(node, _path_to(e, node))
-        v = memo[id(e)][1]
+        v = memo[e]
         if isinstance(v, tuple):
             return self._on(v, self.slots)
         return scalar_matrix(self.n, v)
@@ -248,7 +245,7 @@ class Evaluator:
     def _value(self, node: Expr):
         # from the memoized values of the node's children
         if isinstance(node, Const):
-            return Fraction(node.value)
+            return node.value
         if isinstance(node, Var):
             return self.lookup[(node.part, node.index, node.primed)]
         if isinstance(node, Sum):
@@ -256,7 +253,7 @@ class Evaluator:
         if isinstance(node, Product):
             return self._combine(node.factors, self._product, mul, 1, Matrix.scale)
         if isinstance(node, Inverse):
-            v = self.memo[id(node.arg)][1]
+            v = self.memo[node.arg]
             if not isinstance(v, tuple):
                 return 1 / v if v else None
             # I_k (x) M is singular exactly when M is: k > 0, as run
@@ -275,7 +272,7 @@ class Evaluator:
         compares with an int faster than with another ``Fraction``.
         """
         memo = self.memo
-        values = [memo[id(k)][1] for k in kids]
+        values = [memo[k] for k in kids]
         mats = [v for v in values if isinstance(v, tuple)]
         if len(mats) == len(values):
             return join(mats)

@@ -21,15 +21,18 @@ constant runs, unit coefficients, inverses of nonzero constants); no
 cancellation, no reordering of noncommuting factors, and a written
 ``0 * inv(X1_1)`` keeps its inverse node so the written domain survives.
 
-Builders may share one subtree among several parents, so an expression is a
-DAG.  Every transform traverses it through ``walk``, directly or through
-``fold``: children left to right and before their parents, each shared node
-once, on an explicit stack, so nesting depth is bounded only by memory.
+Nodes are interned, one object per structure: a subexpression repeated by a
+builder or in the parsed text is one node, so an expression is a DAG.
+Every transform traverses it through ``walk``, directly or through ``fold``:
+children left to right and before their parents, each shared node once, on
+an explicit stack, so nesting depth is bounded only by memory.
 """
 
 from __future__ import annotations
 
 import re
+import threading
+import weakref
 from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -98,42 +101,17 @@ class Alphabet:
 
 
 class Expr:
-    """Base of the expression nodes.
-
-    Equality, hashing and ``repr`` are structural and use no recursion: the
-    leaves ``Const`` and ``Var`` keep their dataclass methods, while ``Sum``,
-    ``Product`` and ``Inverse`` inherit the explicit-stack methods below.
+    """Base of the expression nodes, which are interned: a constructor returns
+    the live node of equal type and fields if there is one, so ``==`` is
+    identity and stands for equal structure.  ``copy`` and ``pickle`` go
+    through the constructor.  ``repr`` is the dataclass text, on an explicit
+    stack for ``Sum``, ``Product`` and ``Inverse``.
     """
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Expr):
-            return NotImplemented
-        matched: set[tuple[int, int]] = set()
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if type(a) is not type(b):
-                return False
-            ka, kb = _children(a), _children(b)
-            if not ka:
-                if a != b:
-                    return False
-                continue
-            if len(ka) != len(kb):
-                return False
-            # a pair of shared subtrees is compared once
-            if (id(a), id(b)) not in matched:
-                matched.add((id(a), id(b)))
-                stack += zip(ka, kb)
-        return True
-
-    def __hash__(self) -> int:
-        return fold(self, lambda node, hashes: hash((type(node).__name__, *hashes))
-                    if hashes else hash(node))
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __repr__(self) -> str:
         # exactly the dataclass text, e.g. Inverse(arg=Sum(terms=(Var(...), ...)))
@@ -157,39 +135,64 @@ class Expr:
         return "".join(out)
 
 
-@dataclass(frozen=True, slots=True)
+# (type, *fields) -> the live node, which leaves with its last reference;
+# the lock keeps two threads from building two nodes of one structure
+_nodes: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_nodes_lock = threading.Lock()
+
+
+def _intern(cls, *values):
+    node = object.__new__(cls)
+    for name, v in zip(cls.__slots__, values):
+        object.__setattr__(node, name, v)
+    with _nodes_lock:
+        return _nodes.setdefault((cls, *values), node)
+
+
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Const(Expr):
     value: Fraction
 
+    def __new__(cls, value):
+        return _intern(cls, value if type(value) is Fraction else Fraction(value))
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Var(Expr):
     part: int
     index: int
     primed: bool = False
 
+    def __new__(cls, part, index, primed=False):
+        return _intern(cls, part, index, bool(primed))
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class Sum(Expr):
     terms: tuple[Expr, ...]
 
-    def __post_init__(self):
-        if len(self.terms) < 2:
+    def __new__(cls, terms):
+        if len(terms := tuple(terms)) < 2:
             raise ValueError("Sum needs at least two terms")
+        return _intern(cls, terms)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class Product(Expr):
     factors: tuple[Expr, ...]
 
-    def __post_init__(self):
-        if len(self.factors) < 2:
+    def __new__(cls, factors):
+        if len(factors := tuple(factors)) < 2:
             raise ValueError("Product needs at least two factors")
+        return _intern(cls, factors)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class Inverse(Expr):
     arg: Expr
+
+    def __new__(cls, arg):
+        return _intern(cls, arg)
 
 
 def _merge_const_runs(children: list[Expr], combine) -> list[Expr]:
@@ -273,7 +276,7 @@ def _path_to(root: Expr, target: Expr) -> tuple[int, ...]:
     # Depth-first, children left to right, each shared node expanded once:
     # the first path found is the leftmost one.  A path is kept as linked
     # (position, parent link) pairs so that each push costs O(1).
-    seen: set[int] = set()
+    seen: set[Expr] = set()
     stack: list[tuple[Expr, tuple | None]] = [(root, None)]
     while stack:
         node, link = stack.pop()
@@ -283,8 +286,8 @@ def _path_to(root: Expr, target: Expr) -> tuple[int, ...]:
                 k, link = link
                 path.append(k)
             return tuple(reversed(path))
-        if id(node) not in seen:
-            seen.add(id(node))
+        if node not in seen:
+            seen.add(node)
             kids = _children(node)
             stack.extend((kids[k], (k, link)) for k in range(len(kids) - 1, -1, -1))
     raise ValueError("target is not a node of root")
@@ -293,16 +296,15 @@ def _path_to(root: Expr, target: Expr) -> tuple[int, ...]:
 _EMIT = object()
 
 
-def walk(*roots: Expr, seen: set[int] | None = None) -> Iterator[Expr]:
+def walk(*roots: Expr, seen: set[Expr] | None = None) -> Iterator[Expr]:
     """Every node of the roots once, children left to right and before their
     parents, the roots in order; a shared subtree at its first occurrence.
     Uses no recursion.
 
-    Each node's id is added to ``seen`` as the node is yielded, and a node
-    whose id is already there is not entered.  A caller may pass its own
-    set: one set across several walks yields each node once in all of them,
-    and ids put there in advance prune those nodes' subtrees, except for
-    the descendants that another path still reaches.
+    A node in ``seen`` is not entered, and each yielded node is added to it.
+    One set passed to several walks yields each node once in all of them;
+    nodes put there in advance prune their subtrees, except for the
+    descendants that another path still reaches.
     """
     if seen is None:
         seen = set()
@@ -311,23 +313,23 @@ def walk(*roots: Expr, seen: set[int] | None = None) -> Iterator[Expr]:
         node = stack.pop()
         if node is _EMIT:
             node = stack.pop()
-        elif id(node) in seen:
+        elif node in seen:
             continue
         elif kids := _children(node):
             # node comes back, after its children, behind the marker
             stack += (node, _EMIT)
             stack += reversed(kids)
             continue
-        seen.add(id(node))
+        seen.add(node)
         yield node
 
 
 def fold(e: Expr, rule: Callable[[Expr, list], T]) -> T:
     """Bottom-up value of e: rule(node, values of its children) over walk(e)."""
-    values: dict[int, T] = {}
+    values: dict[Expr, T] = {}
     for node in walk(e):
-        values[id(node)] = rule(node, [values[id(c)] for c in _children(node)])
-    return values[id(e)]
+        values[node] = rule(node, [values[c] for c in _children(node)])
+    return values[e]
 
 
 def inversion_height(e: Expr) -> int:
@@ -506,17 +508,14 @@ def _split_negative(e: Expr) -> Expr | None:
 
 
 def format_expr(e: Expr) -> str:
-    """Render to the surface grammar; parse(format_expr(e)) == e on builder output.
+    """Render to the surface grammar; parse(format_expr(e)) is e on builder output.
 
     A node's text does not depend on its parent: the parent adds the
     parentheses around a sum operand, and a sum turns a term's leading minus
-    into a binary one.  So the text of each node referenced twice or more in
-    e is written once, children first in ``walk`` order, and stored under
-    the node's ``id``; the nodes stay alive for the call, so no id is
-    reused.  Wherever a stored node recurs its text is copied whole.
-    Unshared nodes are never stored, so the work is linear in the output
-    plus the nodes of the DAG.  ``_format_roots`` prints several roots, such
-    as the entries of an expression matrix, through one such memo.
+    into a binary one.  So the text of each node referenced twice or more is
+    written once, children first in ``walk`` order, and copied whole
+    wherever the node recurs.  The work is linear in the output plus the
+    nodes of the DAG.
     """
     return _format_roots((e,))[0]
 
@@ -526,16 +525,16 @@ def _format_roots(roots: Sequence[Expr]) -> list[str]:
     counts as one more reference, so a node shared between roots, or a root
     that is also a node of another root, is written once per call."""
     nodes = list(walk(*roots))
-    refs = Counter(id(c) for node in nodes for c in _children(node))
-    refs.update(id(r) for r in roots)
-    memo: dict[int, str] = {}
+    refs = Counter(c for node in nodes for c in _children(node))
+    refs.update(roots)
+    memo: dict[Expr, str] = {}
     for node in nodes:
-        if refs[id(node)] > 1:
-            memo[id(node)] = _write(node, memo)
+        if refs[node] > 1:
+            memo[node] = _write(node, memo)
     return [_write(r, memo) for r in roots]
 
 
-def _write(e: Expr, memo: dict[int, str]) -> str:
+def _write(e: Expr, memo: dict[Expr, str]) -> str:
     # Works from an explicit stack of pending nodes and literal pieces.  Every
     # few thousand pieces are joined into a chunk, so that they never take
     # more memory than the text they spell.
@@ -550,7 +549,7 @@ def _write(e: Expr, memo: dict[int, str]) -> str:
         item = todo.pop()
         if isinstance(item, str):
             write(item)
-        elif (text := memo.get(id(item))) is not None:
+        elif (text := memo.get(item)) is not None:
             write(text)
         elif isinstance(item, Const):
             write(str(item.value))
@@ -574,7 +573,7 @@ def _write(e: Expr, memo: dict[int, str]) -> str:
                 neg = _split_negative(t)
                 if neg is None:
                     _push_operand(todo, t)
-                elif (text := memo.get(id(t))) is not None:
+                elif (text := memo.get(t)) is not None:
                     todo.append(text[1:])  # the stored text is "-" + that of neg
                 else:
                     _push_operand(todo, neg)

@@ -77,7 +77,11 @@ def gen_expr(rng, alphabet, depth, allow_inverse=True):
 
 
 def unshare(e: Expr) -> Expr:
-    """A copy of e built fresh at every reference, so no node is shared."""
+    """e rebuilt through the constructors at every reference, as a tree.
+
+    Nodes are interned, so this returns e itself: structure alone decides
+    which node a constructor returns, whatever the builder shared.
+    """
     if isinstance(e, Sum):
         return Sum(tuple(unshare(t) for t in e.terms))
     if isinstance(e, Product):

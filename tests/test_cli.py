@@ -1,7 +1,14 @@
 """End-to-end command line checks: pinned outputs, exit codes, round trips."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+
+import mprat
+import pytest
 
 from mprat.cli import main
 from mprat.matrix_kernel import kron
@@ -213,6 +220,31 @@ def test_nowhere_defined_verdict_exit_3(tmp_path, capsys):
                  ["equiv", "--alphabet", "1:1", nowhere, x],
                  ["equiv", "--alphabet", "1:1", x, nowhere]):
         assert run(capsys, *argv) == (3, want, "")
+
+
+@pytest.mark.parametrize("text, path", [
+    ("X1_1 * inv(X1_1 - X1_1) + inv(X1_1 - X1_1)", [0, 1]),
+    ("inv(inv(X1_1 - X1_1) + 1) + inv(X1_1 - X1_1)", [0, 0, 0]),
+    ("inv(X1_1*X2_1 - X2_1*X1_1) * X1_1 + X2_1 * inv(X1_1*X2_1 - X2_1*X1_1)", [0, 0]),
+])
+def test_repeated_undefined_subtrees_keep_their_paths(tmp_path, capsys, text, path):
+    # an undefined subexpression written twice is reported at its leftmost place
+    expr = w(tmp_path, "e.expr", text)
+    code, rep = jrun(capsys, "check-zero", "--alphabet", "2:1,1", "--expr", expr)
+    assert code == 3
+    assert rep["verdict"] == "nowhere-defined"
+    assert rep["path"] == path
+
+
+def test_module_entry_points_agree(tmp_path):
+    # python -m mprat.cli runs the command line as python -m mprat does
+    expr = w(tmp_path, "n.expr", "inv(X1_1 - X1_1)")
+    env = {**os.environ, "PYTHONPATH": str(Path(mprat.__file__).parent.parent)}
+    runs = [subprocess.run([sys.executable, "-m", module, "check-zero", "--alphabet", "1:1",
+                            "--expr", expr], capture_output=True, text=True, env=env)
+            for module in ("mprat", "mprat.cli")]
+    assert [(r.returncode, r.stdout) for r in runs] == [
+        (3, '{"verdict":"nowhere-defined","path":[],"subexpression":"inv(X1_1 - X1_1)"}\n')] * 2
 
 
 def test_bf_eval_undefined_exit_3(tmp_path, capsys):

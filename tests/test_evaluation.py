@@ -573,4 +573,4 @@ def test_letter_free_values_are_memoized_as_field_elements(name):
     ev = Evaluator(NcPoint(Alphabet((1,)), (a,)))
     node, value = LETTER_FREE[name]
     assert ev.run(node) == scalar_matrix(2, value)
-    assert ev.memo[id(node)][1] == value
+    assert ev.memo[node] == value

@@ -1,11 +1,18 @@
 """Expression AST, parser, formatter, and polynomial normal form."""
 
+import copy
+import dataclasses
+import gc
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from helpers import unshare
+from helpers import corpus, unshare
+from mprat import expression
 from mprat.expression import (
     Alphabet,
     Const,
@@ -26,6 +33,7 @@ from mprat.expression import (
     poly_normal_form,
     subexpr_at,
     validate_vars,
+    walk,
 )
 from mprat.identity import TestConfig
 from mprat.matrix_kernel import QQ, Matrix
@@ -300,6 +308,12 @@ def test_format_root_shared_in_another_expression():
                             f"({text}) * X1_2 * inv({text})")
 
 
+def test_long_output_is_written_in_chunks():
+    # 6000 pieces: more than one chunk of the writer
+    text = " + ".join(f"{k} * X1_1" for k in range(2, 3002))
+    assert format_expr(parse(text, AB)) == text
+
+
 def assert_roots_print_alone(roots):
     # one memo over all roots writes each root as format_expr alone does
     assert _format_roots(roots) == [format_expr(r) for r in roots]
@@ -350,6 +364,65 @@ def test_repr_is_the_dataclass_text():
                        "Const(value=Fraction(1, 2))))), "
                        "Var(part=2, index=1, primed=False)))")
     assert repr(Var(1, 2, True)) == "Var(part=1, index=2, primed=True)"
+
+
+# -- interning -------------------------------------------------------------------
+
+
+def test_structure_alone_decides_identity():
+    for e in corpus():
+        assert unshare(e) is e
+    text = "inv(X1_1 + X2_1) * X1_2 + inv(X1_1 + X2_1)"
+    e = parse(text, AB)
+    assert parse(text, AB) is e
+    assert e.terms[0].factors[0] is e.terms[1]
+    assert Var(1, 1) is Var(1, 1, 0) and Const(2) is Const(F(4, 2))
+
+
+def test_copies_are_the_node_itself():
+    e = parse("-2 * inv(X1_1 + 1/2) * X2_1' + X1_1", AB.with_primed(2))
+    for node in walk(e):
+        assert copy.copy(node) is node
+        assert copy.deepcopy(node) is node
+        assert pickle.loads(pickle.dumps(node)) is node
+        assert dataclasses.replace(node) is node
+
+
+def test_dropped_nodes_leave_the_intern_table():
+    gc.collect()
+    before = len(expression._nodes)
+    e = parse("inv(X1_1 * 1234567 + X2_2 * 7654321) * X1_2 - 98765", AB)
+    assert all(expression._nodes[(type(n), *n.__reduce__()[1])] is n for n in walk(e))
+    assert len(expression._nodes) > before
+    del e
+    gc.collect()
+    assert len(expression._nodes) == before
+
+
+def test_threads_building_one_structure_get_one_node():
+    # the table's lookup and insert are one step under a lock: two threads
+    # that both miss must not build two nodes of one structure
+    rounds, workers = 300, 4
+    built = [[None] * workers for _ in range(rounds)]
+    barrier = threading.Barrier(workers, timeout=30)
+
+    def work(w):
+        for r in range(rounds):
+            barrier.wait()
+            built[r][w] = parse(f"inv(X1_1 + {10**6 + r}) * X2_1 - {10**6 + r}", AB)
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
+    assert all(row[0] is not None and all(e is row[0] for e in row) for row in built)
 
 
 # -- inversion height ---------------------------------------------------------

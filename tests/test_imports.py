@@ -9,6 +9,8 @@ when the module no longer calls it.
 The number type is the kernel's alone: outside ``matrix_kernel`` no module
 reads an attribute named ``field`` or imports ``Rationals``.
 
+No module calls the builtin ``id``: a memo keys by the node itself.
+
 Every module parses as Python 3.10, the oldest version ``pyproject.toml``
 allows.
 """
@@ -83,6 +85,20 @@ def test_only_the_kernel_knows_the_number_type():
                   if isinstance(node, ast.ImportFrom)
                   and any(alias.name == "Rationals" for alias in node.names)]
     assert leaks == []
+
+
+def test_no_module_calls_id():
+    """Memos key by the node itself, never by ``id()``.
+
+    An id is reused once its object is gone, and a memo keyed by ids once
+    handed a later expression the value of a dropped one.  Nodes are
+    interned, so the node is a key that stands for its structure.
+    """
+    calls = [(path.name, node.lineno) for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "id"]
+    assert calls == []
 
 
 def test_sources_parse_as_python_3_10():

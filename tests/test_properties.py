@@ -99,6 +99,12 @@ def test_format_parse_format_is_stable(e):
 
 @SETTINGS
 @hypothesis.given(exprs)
+def test_structure_alone_decides_identity(e):
+    assert unshare(e) is e
+
+
+@SETTINGS
+@hypothesis.given(exprs)
 def test_format_of_a_dag_is_the_format_of_its_tree(e):
     assert format_expr(e) == format_expr(unshare(e))
 

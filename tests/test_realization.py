@@ -72,6 +72,16 @@ def test_base_point_outside_domain():
     assert exc.value.undefined.path == ()
 
 
+def test_repeated_undefined_subtree_keeps_its_leftmost_path():
+    ab = Alphabet((1,))
+    e = parse("X1_1 * inv(X1_1 - X1_1) + inv(X1_1 - X1_1)", ab)
+    two = Matrix.of(QQ, [[2]])
+    with pytest.raises(BasePointOutsideDomain) as exc:
+        realize(e, ab, (two,))
+    assert exc.value.undefined.path == (0, 1)
+    assert mp_evaluate(e, MpPoint(ab, ((two,),))).path == (0, 1)
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_realize_is_undefined_exactly_where_nc_evaluate_is(m):
     # entries in {-1, 0, 1}: many base points make some inverse singular
