@@ -20,7 +20,6 @@ block matrix of the three reference evaluations as one matrix.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .evaluation import MpPoint, Undefined, UndefinedError, mp_evaluate
@@ -72,19 +71,40 @@ def delta(part: int, index: int, e: Expr, alphabet: Alphabet) -> Expr:
         raise ValueError("delta expects an alphabet without primed parts")
     if not 1 <= part <= alphabet.parts:
         raise ValueError(f"part {part} out of range")
-    if not 1 <= index <= alphabet.size_of(part):
+    g = alphabet.size_of(part)
+    if not 1 <= index <= g:
         raise ValueError(f"index {index} out of range for part {part}")
+    return _delta(part, [int(j == index) for j in range(1, g + 1)], e, alphabet)
+
+
+def directional_delta(part: int, v: Sequence, e: Expr, alphabet: Alphabet) -> Expr:
+    """Sum of v[j-1] * delta(part, j, e) over the letters of the part, as
+    one fold: letter j differentiates to the constant v[j-1]."""
+    if not 1 <= part <= alphabet.parts:
+        raise ValueError(f"part {part} out of range")
+    g = alphabet.size_of(part)
+    if len(v) != g:
+        raise ValueError(f"direction vector needs {g} entries, got {len(v)}")
+    if alphabet.primed_parts:
+        raise ValueError("delta expects an alphabet without primed parts")
+    return _delta(part, v, e, alphabet)
+
+
+def _delta(part: int, coeff: Sequence, e: Expr, alphabet: Alphabet) -> Expr:
+    # the derivation of e over the plain alphabet that sends letter j of the
+    # part to the constant coeff[j-1] and every other letter to 0
     validate_vars(e, alphabet)
+    zero = Const(0)
+    coeffs = [Const(c) for c in coeff]
 
     def rule(node: Expr, kids: list[tuple[Expr, Expr]]) -> tuple[Expr, Expr]:
         # (primed copy of node, delta of node)
         primes = [p for p, _ in kids]
         diffs = [d for _, d in kids]
         if isinstance(node, Const):
-            diff: Expr = Const(Fraction(0))
+            diff: Expr = zero
         elif isinstance(node, Var):
-            hit = node.part == part and node.index == index
-            diff = Const(Fraction(1 if hit else 0))
+            diff = coeffs[node.index - 1] if node.part == part else zero
         elif isinstance(node, Sum):
             diff = expr_sum(diffs)
         elif isinstance(node, Product):
@@ -100,18 +120,6 @@ def delta(part: int, index: int, e: Expr, alphabet: Alphabet) -> Expr:
         return _primed(node, primes, part), diff
 
     return fold(e, rule)[1]
-
-
-def directional_delta(part: int, v: Sequence, e: Expr, alphabet: Alphabet) -> Expr:
-    """Sum of v[j-1] * delta(part, j, e) over the letters of the part."""
-    g = alphabet.size_of(part)
-    if len(v) != g:
-        raise ValueError(f"direction vector needs {g} entries, got {len(v)}")
-    terms = [
-        expr_product([Const(Fraction(v[j - 1])), delta(part, j, e, alphabet)], absorb_zero=True)
-        for j in range(1, g + 1)
-    ]
-    return expr_sum(terms)
 
 
 def _fund_point(

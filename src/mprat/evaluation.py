@@ -149,6 +149,8 @@ class BfPoint:
     b_outer: tuple[Matrix, ...]
 
     def __post_init__(self):
+        if self.g < 1:
+            raise ValueError(f"g must be at least 1 (got {self.g})")
         for name in ("a_outer", "a_inner", "b_inner", "b_outer"):
             mats = tuple(getattr(self, name))
             object.__setattr__(self, name, mats)
@@ -187,19 +189,16 @@ class Evaluator:
     Reusable across expressions over the same point: matrix_rational
     evaluates whole expression matrices, and every pivot test of one Schur
     recursion at one sample point, through one instance.  The memo maps
-    each node to its value: a ``Fraction`` c standing for c * I when the
-    subtree has no letters, a pair (slots, M) of the sorted tensor slots its
-    letters touch and a matrix M on them, or None for an inverse of a
-    singular value.  ``n`` is the size of a root value, the product of the
-    slot sizes.
+    each node with a defined value to that value: a ``Fraction`` c standing
+    for c * I when the subtree has no letters, or a pair (slots, M) of the
+    sorted tensor slots its letters touch and a matrix M on them.  ``n`` is
+    the size of a root value, the product of the slot sizes.
 
-    A run does not enter a memoized subtree whose value is defined: walk
-    gets the nodes of the defined values as its ``seen`` set.  Every node
-    below a defined one is defined, because a run stops at the first None
-    and never computes that node's parents.  So the skipped nodes hold no
-    None, and the first Undefined in walk order, with its path, is the one
-    a full walk would meet.  A node whose value is None, or whose letter is
-    missing from the point, leaves the set again.
+    A run does not enter a memoized subtree.  Values are stored children
+    first and a run stops at its first singular inverse, which is not
+    stored, so every node below a memoized one is memoized too.  The first
+    Undefined a run meets, with its path, is then the one a full walk would
+    meet.
     """
 
     def __init__(self, point: NcPoint | MpPoint | BfPoint):
@@ -207,10 +206,8 @@ class Evaluator:
         self.alphabet, self.dims, values = _slot_letters(point)
         self.slots = tuple(range(len(self.dims)))
         self.n = prod(self.dims)
-        self.lookup = {(v.part, v.index, v.primed): val
-                       for v, val in zip(self.alphabet.letters(), values)}
+        self.lookup = dict(zip(self.alphabet.letters(), values))
         self.memo: dict[Expr, object] = {}
-        self.defined: set[Expr] = set()
 
     def run(self, e: Expr) -> Matrix | Undefined:
         """Value of e, or the Undefined of the first singular inverse in walk
@@ -224,19 +221,17 @@ class Evaluator:
             # a slot of size 0: every value is 0x0, and so is every inverse
             validate_vars(e, self.alphabet)
             return Matrix.zeros(0, 0)
-        memo, defined = self.memo, self.defined
-        for node in walk(e, seen=defined):
-            if node not in memo:
-                try:
-                    memo[node] = self._value(node)
-                except KeyError:  # a letter missing from the point
-                    defined.discard(node)
-                    validate_vars(e, self.alphabet)
-                    raise
-            if memo[node] is None:
-                defined.discard(node)
+        memo = self.memo
+        for node in walk(e, skip=memo):
+            try:
+                v = self._value(node)
+            except KeyError:  # a letter missing from the point
+                validate_vars(e, self.alphabet)
+                raise
+            if v is None:
                 validate_vars(e, self.alphabet)
                 return Undefined(node, _path_to(e, node))
+            memo[node] = v
         v = memo[e]
         if isinstance(v, tuple):
             return self._on(v, self.slots)
@@ -247,7 +242,7 @@ class Evaluator:
         if isinstance(node, Const):
             return node.value
         if isinstance(node, Var):
-            return self.lookup[(node.part, node.index, node.primed)]
+            return self.lookup[node]
         if isinstance(node, Sum):
             return self._combine(node.terms, self._sum, add, 0, Matrix.add_scalar)
         if isinstance(node, Product):

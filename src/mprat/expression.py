@@ -296,24 +296,19 @@ def _path_to(root: Expr, target: Expr) -> tuple[int, ...]:
 _EMIT = object()
 
 
-def walk(*roots: Expr, seen: set[Expr] | None = None) -> Iterator[Expr]:
+def walk(*roots: Expr, skip=()) -> Iterator[Expr]:
     """Every node of the roots once, children left to right and before their
     parents, the roots in order; a shared subtree at its first occurrence.
-    Uses no recursion.
-
-    A node in ``seen`` is not entered, and each yielded node is added to it.
-    One set passed to several walks yields each node once in all of them;
-    nodes put there in advance prune their subtrees, except for the
-    descendants that another path still reaches.
+    A node in ``skip`` is neither entered nor yielded, and ``skip`` is only
+    read, so a caller may add to it between two yields.  Uses no recursion.
     """
-    if seen is None:
-        seen = set()
+    seen: set[Expr] = set()
     stack: list = list(reversed(roots))
     while stack:
         node = stack.pop()
         if node is _EMIT:
             node = stack.pop()
-        elif node in seen:
+        elif node in skip or node in seen:
             continue
         elif kids := _children(node):
             # node comes back, after its children, behind the marker
@@ -604,60 +599,31 @@ class ExprHasInverse(ValueError):
 Monomial = tuple[tuple[int, ...], ...]
 
 
-class PolyNormalForm:
-    """Coefficient map of an inverse-free expression.
-
-    Keys are monomials (one word per alphabet slot); letters from different
-    slots are kept in separate words, which is exactly the cross-part
-    commutation: products concatenate slot-wise.
-    """
-
-    __slots__ = ("slot_count", "terms")
-
-    def __init__(self, slot_count: int, terms: dict[Monomial, Fraction]):
-        self.slot_count = slot_count
-        self.terms = {m: c for m, c in terms.items() if c != 0}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, PolyNormalForm)
-                and self.slot_count == other.slot_count
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        raise TypeError("PolyNormalForm is not hashable")
-
-    def max_slot_degree(self) -> int:
-        """Longest word appearing in any single slot."""
-        if not self.terms:
-            return 0
-        return max(max(len(w) for w in mono) for mono in self.terms)
-
-    def __repr__(self) -> str:
-        return f"PolyNormalForm({self.terms!r})"
+def _nf_add(out: dict, m: Monomial, c: Fraction) -> None:
+    # out[m] += c, dropping m when its coefficient cancels
+    c = out.get(m, _F0) + c
+    if c:
+        out[m] = c
+    else:
+        out.pop(m, None)
 
 
 def _nf_mul(a: dict, b: dict, slots: int) -> dict:
     out: dict[Monomial, Fraction] = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            key = tuple(ma[s] + mb[s] for s in range(slots))
-            c = out.get(key, _F0) + ca * cb
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
+            _nf_add(out, tuple(ma[s] + mb[s] for s in range(slots)), ca * cb)
     return out
 
 
-def poly_normal_form(e: Expr, alphabet: Alphabet) -> PolyNormalForm:
+def poly_normal_form(e: Expr, alphabet: Alphabet) -> dict[Monomial, Fraction]:
     """Expand an inverse-free expression into its monomial coefficient map.
 
+    A monomial has one word per alphabet slot, so letters of different slots
+    commute and products concatenate slot-wise; no coefficient is zero.
     Raises ExprHasInverse on any inverse node.  Addition and multiplication
     of expressions match addition and slot-wise concatenation product of the
-    returned forms, so equality of forms decides equality of polynomial
+    returned maps, so equality of maps decides equality of polynomial
     functions exactly.
     """
     validate_vars(e, alphabet)
@@ -674,11 +640,7 @@ def poly_normal_form(e: Expr, alphabet: Alphabet) -> PolyNormalForm:
             out: dict[Monomial, Fraction] = {}
             for kid in kids:
                 for m, c in kid.items():
-                    acc = out.get(m, _F0) + c
-                    if acc:
-                        out[m] = acc
-                    elif m in out:
-                        del out[m]
+                    _nf_add(out, m, c)
             return out
         if isinstance(node, Product):
             return reduce(lambda a, b: _nf_mul(a, b, ns), kids)
@@ -686,4 +648,4 @@ def poly_normal_form(e: Expr, alphabet: Alphabet) -> PolyNormalForm:
             raise ExprHasInverse("expression contains an inverse; no polynomial normal form")
         raise TypeError(f"not an expression node: {type(node).__name__}")
 
-    return PolyNormalForm(ns, fold(e, rule))
+    return fold(e, rule)

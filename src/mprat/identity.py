@@ -184,10 +184,10 @@ def _zero_test(e: Expr, alphabet: Alphabet, cfg: TestConfig, evaluate) -> ZeroVe
     alphabet and one cfg."""
     if inversion_height(e) == 0:
         nf = poly_normal_form(e, alphabet)
-        if nf.is_zero():
+        if not nf:
             return ExactZero()
-        return _hunt_polynomial_witness(e, alphabet, cfg,
-                                        nf.max_slot_degree() // 2 + 1, evaluate)
+        degree = max(len(word) for mono in nf for word in mono)
+        return _hunt_polynomial_witness(e, alphabet, cfg, degree // 2 + 1, evaluate)
     return _scan(lambda trial, a: evaluate(e, trial, a), alphabet, cfg)
 
 

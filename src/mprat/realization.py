@@ -185,14 +185,14 @@ def realize(e: Expr, alphabet: Alphabet, p: Sequence[Matrix]) -> Realization:
     point = NcPoint(alphabet, tuple(p))
     validate_vars(e, alphabet)
     m, pt = point.n, point.mats
-    positions = {(v.part, v.index, v.primed): i + 1 for i, v in enumerate(alphabet.letters())}
+    positions = {v: i + 1 for i, v in enumerate(alphabet.letters())}
 
     def rule(node: Expr, kids: list[tuple[Realization, Matrix]]) -> tuple[Realization, Matrix]:
         if isinstance(node, Const):
             r = _const_real(node.value, m, pt)
             return r, r.c[0]
         if isinstance(node, Var):
-            i = positions[(node.part, node.index, node.primed)]
+            i = positions[node]
             return _letter_real(i, m, pt), pt[i - 1]
         if isinstance(node, Sum):
             return reduce(_sum_real, [r for r, _ in kids]), reduce(add, [v for _, v in kids])

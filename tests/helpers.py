@@ -19,14 +19,14 @@ F = Fraction
 # -- random data ----------------------------------------------------------------
 
 
-def rand_matrix(rng, n, bound=10, field=QQ):
-    return Matrix.of(field, [[rng.randint(-bound, bound) for _ in range(n)]
-                             for _ in range(n)])
+def rand_matrix(rng, n, bound=10):
+    return Matrix.of(QQ, [[rng.randint(-bound, bound) for _ in range(n)]
+                          for _ in range(n)])
 
 
-def rand_invertible(rng, n, bound=10, field=QQ):
+def rand_invertible(rng, n, bound=10):
     while True:
-        m = rand_matrix(rng, n, bound, field)
+        m = rand_matrix(rng, n, bound)
         if inv_det(m) is not None:
             return m
 
@@ -91,6 +91,43 @@ def unshare(e: Expr) -> Expr:
     if isinstance(e, Const):
         return Const(e.value)
     return Var(e.part, e.index, e.primed)
+
+
+def naive_format(e: Expr) -> str:
+    """The surface text of e by plain recursion over its tree, with no memo:
+    the reference for format_expr.  A sum operand is bracketed, and a term
+    with a leading minus is written after a binary one."""
+    def operand(x):
+        return f"({naive_format(x)})" if isinstance(x, Sum) else naive_format(x)
+
+    if isinstance(e, Const):
+        return str(e.value)
+    if isinstance(e, Var):
+        return f"X{e.part}_{e.index}" + ("'" if e.primed else "")
+    if isinstance(e, Inverse):
+        return f"inv({naive_format(e.arg)})"
+    if isinstance(e, Product):
+        neg = _negated(e)
+        if neg is not None:
+            return "-" + operand(neg)
+        return " * ".join(operand(f) for f in e.factors)
+    text = operand(e.terms[0])
+    for t in e.terms[1:]:
+        neg = _negated(t)
+        text += " + " + operand(t) if neg is None else " - " + operand(neg)
+    return text
+
+
+def _negated(e: Expr) -> Expr | None:
+    # -e when e is a negative constant or a product led by one, else None
+    if isinstance(e, Const) and e.value < 0:
+        return Const(-e.value)
+    if isinstance(e, Product) and isinstance(e.factors[0], Const) and e.factors[0].value < 0:
+        c, rest = e.factors[0].value, e.factors[1:]
+        if c == -1:
+            return rest[0] if len(rest) == 1 else Product(rest)
+        return Product((Const(-c),) + rest)
+    return None
 
 
 # -- independent reference evaluation (plain lists of Fractions) ----------------

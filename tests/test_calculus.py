@@ -132,6 +132,17 @@ def test_directional_delta_combines():
         directional_delta(1, (F(1),), e, AB1)
 
 
+def test_directional_delta_along_a_unit_vector_is_delta():
+    # one fold builds both, so a unit direction gives the very same node
+    exprs = [parse(text, AB2) for text in (
+        "X1_1 * X2_1 * X1_2", "inv(X1_1 + X2_2) * X1_1 - 3", "X1_2 * inv(1 + X1_1 * X1_2)")]
+    for e in exprs:
+        for part in (1, 2):
+            for j in (1, 2):
+                unit = [int(k == j) for k in (1, 2)]
+                assert directional_delta(part, unit, e, AB2) is delta(part, j, e, AB2)
+
+
 def test_fund_block_point_scalar_case():
     p = fund_block_point(
         (Matrix.of(QQ, [[F(2)]]),), (Matrix.of(QQ, [[F(5)]]),), (F(7),), ()

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import corpus, unshare
+from helpers import corpus, gen_expr, naive_format, unshare
 from mprat import expression
 from mprat.expression import (
     Alphabet,
@@ -274,7 +274,7 @@ def assert_prints_as_a_tree(e, want):
     # shared nodes print from memo; the text must be that of the tree
     text = format_expr(e)
     assert text == want
-    assert format_expr(unshare(e)) == want
+    assert naive_format(e) == want
     assert format_expr(parse(text, AB)) == want
 
 
@@ -306,6 +306,17 @@ def test_format_root_shared_in_another_expression():
     assert_prints_as_a_tree(r, text)
     assert_prints_as_a_tree(expr_product([r, Var(1, 2), inverse_of(r)]),
                             f"({text}) * X1_2 * inv({text})")
+
+
+def test_format_matches_the_naive_printer():
+    # each random expression recurs as a term, a factor and a negated term
+    rng = random.Random("naive-format")
+    exprs = corpus()
+    for _ in range(300):
+        e = gen_expr(rng, AB, 3)
+        exprs.append(expr_sum([e, expr_product([e, Var(1, 1)]), expr_neg(e)]))
+    for e in exprs:
+        assert format_expr(e) == naive_format(e)
 
 
 def test_long_output_is_written_in_chunks():
@@ -451,19 +462,20 @@ def test_normal_form_separates_parts():
 
 def test_normal_form_zero_detection():
     e = parse("X1_1 * X2_1 - X2_1 * X1_1", AB)
-    assert poly_normal_form(e, AB).is_zero()
+    assert poly_normal_form(e, AB) == {}
     e = parse("(X1_1 + X1_2) * (X1_1 - X1_2) - X1_1 * X1_1 "
               "+ X1_2 * X1_2 - X1_2 * X1_1 + X1_1 * X1_2", AB)
-    assert poly_normal_form(e, AB).is_zero()
-    assert not poly_normal_form(parse("X1_1 * X1_2 - X1_2 * X1_1", AB), AB).is_zero()
+    assert poly_normal_form(e, AB) == {}
+    assert poly_normal_form(parse("X1_1 * X1_2 - X1_2 * X1_1", AB), AB) == {
+        ((1, 2), ()): F(1), ((2, 1), ()): F(-1)}
 
 
 def test_normal_form_terms():
     nf = poly_normal_form(parse("2 * X1_1 * X1_1 + 3", AB), AB)
-    assert nf.terms == {((), ()): F(3), ((1, 1), ()): F(2)}
-    assert nf.max_slot_degree() == 2
-    assert poly_normal_form(Const(F(0)), AB).terms == {}
-    assert poly_normal_form(Const(F(0)), AB).max_slot_degree() == 0
+    assert nf == {((), ()): F(3), ((1, 1), ()): F(2)}
+    assert poly_normal_form(Const(F(0)), AB) == {}
+    # a term that cancels leaves no zero coefficient behind
+    assert poly_normal_form(parse("X1_1 + 2 - X1_1", AB), AB) == {((), ()): F(2)}
 
 
 def test_normal_form_ring_laws():
@@ -483,16 +495,16 @@ def test_normal_form_ring_laws():
         nf_sum = poly_normal_form(expr_sum([a, b]), AB)
         nf_prod = poly_normal_form(expr_product([a, b]), AB)
         na, nb = poly_normal_form(a, AB), poly_normal_form(b, AB)
-        merged = dict(na.terms)
-        for m, c in nb.terms.items():
+        merged = dict(na)
+        for m, c in nb.items():
             merged[m] = merged.get(m, F(0)) + c
-        assert nf_sum.terms == {m: c for m, c in merged.items() if c}
+        assert nf_sum == {m: c for m, c in merged.items() if c}
         prod_terms = {}
-        for ma, ca in na.terms.items():
-            for mb, cb in nb.terms.items():
+        for ma, ca in na.items():
+            for mb, cb in nb.items():
                 key = tuple(wa + wb for wa, wb in zip(ma, mb))
                 prod_terms[key] = prod_terms.get(key, F(0)) + ca * cb
-        assert nf_prod.terms == {m: c for m, c in prod_terms.items() if c}
+        assert nf_prod == {m: c for m, c in prod_terms.items() if c}
 
 
 def test_normal_form_rejects_inverse():
@@ -504,5 +516,4 @@ def test_normal_form_primed_slots():
     primed = AB.with_primed(1)
     e = parse("X1_1' * X1_1", primed)
     nf = poly_normal_form(e, primed)
-    assert nf.slot_count == 3
-    assert nf.terms == {((1,), (1,), ()): F(1)}
+    assert nf == {((1,), (1,), ()): F(1)}

@@ -8,12 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from mprat.calculus import fund_block_point, verify_fund
+from mprat.calculus import directional_delta, fund_block_point, verify_fund
 from mprat.evaluation import BfPoint, MpPoint, NcPoint, ell_collapse
 from mprat.expression import (
     Alphabet,
     ExprSyntaxError,
-    PolyNormalForm,
     Product,
     Sum,
     Var,
@@ -44,6 +43,12 @@ CHECKS = {
                  ValueError, "a_outer needs 1 matrices"),
     "bf size": (lambda: BfPoint(1, 1, (I2,), (I1,), (I1,), (I1,)),
                 ValueError, "a_outer: matrices must be 1x1"),
+    "bf no letters": (lambda: BfPoint(0, 1, (), (), (), ()),
+                      ValueError, "g must be at least 1 (got 0)"),
+    "directional part 0": (lambda: directional_delta(0, (1,), X, Alphabet((2,))),
+                           ValueError, "part 0 out of range"),
+    "directional part 2": (lambda: directional_delta(2, (1,), X, Alphabet((2,))),
+                           ValueError, "part 2 out of range"),
     "ell_collapse n": (lambda: ell_collapse(I1, 0, 1), ValueError, "need n ≥ 1 and g ≥ 1"),
     "primed part": (lambda: Alphabet((1,), {2}), ValueError, "primed part out of range"),
     "one-term sum": (lambda: Sum((X,)), ValueError, "Sum needs at least two terms"),
@@ -55,8 +60,6 @@ CHECKS = {
                              ExprSyntaxError, "unexpected character '$'"),
     "inv without paren": (lambda: parse("inv X1_1", AB),
                           ExprSyntaxError, "expected '(', got 'X1_1'"),
-    "normal form hash": (lambda: hash(PolyNormalForm(1, {})),
-                         TypeError, "PolyNormalForm is not hashable"),
     "sample dims": (lambda: sample_point(AB, (1, 2), TestConfig(), 0),
                     ValueError, "expected 1 dims, got 2"),
     "from_flat count": (lambda: Matrix.from_flat(QQ, 2, 2, [Fraction(1)]),
