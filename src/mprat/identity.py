@@ -7,10 +7,11 @@ and matrix_rational.matrix_invertible.  All sampling is a pure function of
 (seed, dims, trial), so verdicts are reproducible.
 
 Inverse-free expressions are decided exactly through the polynomial normal
-form; when nonzero, a concrete witness point is still hunted down (it exists
-at level ⌊d/2⌋+1 for maximal per-part degree d, since no product of fewer
-than 2n alternating factors vanishes identically on n-by-n matrices, and the
-parts separate into independent tensor slots).
+form; level-1 points are tried before the normal form, and when they are
+all zero but the normal form is not, a concrete witness point is hunted
+down (it exists at level ⌊d/2⌋+1 for maximal per-part degree d, since no
+product of fewer than 2n alternating factors vanishes identically on n-by-n
+matrices, and the parts separate into independent tensor slots).
 
 Expressions containing inverses go through _scan, shared by is_zero and
 equivalent.  A nonzero value at a defined point is a proof of nonzeroness;
@@ -19,13 +20,14 @@ never a zero claim.  Undefined trials are skipped; when no trial is defined
 the first Undefined met is reported.
 
 Determinant self-check: by the determinant criterion, a level at which the
-value is singular at every defined trial must have every value zero.  _scan
-checks this at the end of each level that has a nonzero value, testing the
-determinants of its nonzero values only until the first nonzero one, and
-raises RuntimeError when all of them vanish.  Each test is
-``_det_nonzero``: a determinant nonzero mod 2^61 - 1 is a proof, and only
-one that is 0 mod p is computed exactly.  A level with only zero values
-tests no determinant.
+value is singular at every defined trial must have every value zero.  The
+self-check needs one nonsingular value, so that value ends the level: _scan
+tests the determinant of each nonzero value as it is met, and the first
+nonzero determinant returns the level's first nonzero value as the witness.
+A level whose nonzero values are all singular raises RuntimeError after its
+last trial.  Each test is ``_det_nonzero``: a determinant nonzero mod
+2^61 - 1 is a proof, and only one that is 0 mod p is computed exactly.  A
+level with only zero values tests no determinant.
 """
 
 from __future__ import annotations
@@ -117,12 +119,12 @@ def _points(alphabet: Alphabet, cfg: TestConfig, top: int):
 
 def _scan(value_at, alphabet: Alphabet, cfg: TestConfig) -> ZeroVerdict:
     # value_at(trial, a) is the Matrix or Undefined at the trial-th point a
-    # of its level.  Every trial of a level is evaluated before the level's
-    # verdict, so the determinant self-check (see the module docstring) sees
-    # all of its defined values.
+    # of its level.  The witness is the level's first nonzero value; the
+    # self-check (see the module docstring) needs one nonsingular value of
+    # the level, so the first one met ends the scan.
     first_undef: Undefined | None = None
     decided = 0
-    nonzero = []
+    witness: NonzeroWitness | None = None
     for level, trial, a in _points(alphabet, cfg, cfg.max_level):
         v = value_at(trial, a)
         if isinstance(v, Undefined):
@@ -130,18 +132,17 @@ def _scan(value_at, alphabet: Alphabet, cfg: TestConfig) -> ZeroVerdict:
                 first_undef = v
         else:
             decided += 1
+            # a zero value has det 0, so only the nonzero ones need a det
             if not v.is_zero():
-                nonzero.append((trial, a, v))
-        if nonzero and trial == cfg.trials_per_level - 1:
-            # A zero value has det 0, so only the nonzero ones need a det.
-            # A failure means a kernel bug or an astronomically unlucky
-            # sample of a nonvanishing det.
-            if not any(_det_nonzero(v) for _, _, v in nonzero):
-                raise RuntimeError("determinant criterion violated: singular "
-                                   "values at a level where no determinant "
-                                   "was nonzero")
-            trial, a, v = nonzero[0]
-            return NonzeroWitness(a, v, level, trial)
+                witness = witness or NonzeroWitness(a, v, level, trial)
+                if _det_nonzero(v):
+                    return witness
+        if witness and trial == cfg.trials_per_level - 1:
+            # a kernel bug or an astronomically unlucky sample of a
+            # nonvanishing det
+            raise RuntimeError("determinant criterion violated: singular "
+                               "values at a level where no determinant "
+                               "was nonzero")
     if decided == 0:
         return NowhereDefined(first_undef.subexpr, first_undef.path)
     return ProbablyZeroUpTo(cfg.max_level, cfg.trials_per_level, decided)
@@ -183,6 +184,12 @@ def _zero_test(e: Expr, alphabet: Alphabet, cfg: TestConfig, evaluate) -> ZeroVe
     one evaluator per (dims, trial) across many zero tests with one
     alphabet and one cfg."""
     if inversion_height(e) == 0:
+        # the hunt's level 1, tried before the normal form: a witness there
+        # is the hunt's witness, and the hunt re-scans it otherwise
+        for level, trial, a in _points(alphabet, cfg, 1):
+            v = evaluate(e, trial, a)
+            if not v.is_zero():
+                return NonzeroWitness(a, v, level, trial)
         nf = poly_normal_form(e, alphabet)
         if not nf:
             return ExactZero()

@@ -5,15 +5,24 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import naive_mp_eval
+from helpers import corpus, gen_expr, l_inv, naive_mp_eval
 from mprat.evaluation import mp_evaluate
-from mprat.expression import Alphabet, parse, poly_normal_form
+from mprat.expression import (
+    Alphabet,
+    Inverse,
+    Product,
+    Sum,
+    inversion_height,
+    parse,
+    poly_normal_form,
+)
 from mprat.identity import (
     ExactZero,
     NonzeroWitness,
     NowhereDefined,
     ProbablyZeroUpTo,
     TestConfig,
+    _zero_test,
     domain_scan,
     equivalent,
     is_zero,
@@ -238,3 +247,161 @@ def test_true_identity_computes_no_determinant(monkeypatch):
     rhs = parse("inv(X2_1) * inv(X1_1)", AB11)
     assert isinstance(equivalent(lhs, rhs, AB11, TestConfig(max_level=2)), ProbablyZeroUpTo)
     assert calls == []
+
+
+def _counting_evaluate(calls):
+    def evaluate(e, trial, a):
+        calls.append((a.dims, trial))
+        return mp_evaluate(e, a)
+    return evaluate
+
+
+def test_rational_witness_ends_the_scan():
+    # level 1 commutes, so all of it is zero; at level 2 the first nonzero
+    # value is nonsingular and ends the scan
+    cfg = TestConfig()
+    calls = []
+    e = parse("inv(X1_1) * X1_2 - X1_2 * inv(X1_1)", AB1)
+    v = _zero_test(e, AB1, cfg, _counting_evaluate(calls))
+    assert isinstance(v, NonzeroWitness) and v.level == 2
+    assert v.trial < cfg.trials_per_level - 1
+    assert calls == ([((1,), t) for t in range(cfg.trials_per_level)]
+                     + [((2,), t) for t in range(v.trial + 1)])
+
+
+def test_singular_first_witness_stays_the_witness(monkeypatch):
+    # the first nonzero value fails the determinant test: the scan goes on
+    # to the next nonzero value, which passes it, and returns the first
+    dets = []
+
+    def det_nonzero(m):
+        dets.append(m)
+        return len(dets) > 1
+
+    monkeypatch.setattr("mprat.identity._det_nonzero", det_nonzero)
+    cfg = TestConfig()
+    e = parse("inv(X1_1) * X1_2 - X1_2 * inv(X1_1)", AB1)
+    level_2 = [mp_evaluate(e, sample_point(AB1, (2,), cfg, t))
+               for t in range(cfg.trials_per_level)]
+    nonzero = [t for t, m in enumerate(level_2) if not m.is_zero()]
+    assert nonzero[1] < cfg.trials_per_level - 1
+    calls = []
+    v = _zero_test(e, AB1, cfg, _counting_evaluate(calls))
+    assert (v.level, v.trial, v.value) == (2, nonzero[0], level_2[nonzero[0]])
+    assert dets == [level_2[t] for t in nonzero[:2]]
+    assert calls[-1] == ((2,), nonzero[1])
+
+
+def test_polynomial_level_1_witness_needs_no_normal_form(monkeypatch):
+    def no_normal_form(e, alphabet):
+        raise AssertionError("normal form computed")
+
+    monkeypatch.setattr("mprat.identity.poly_normal_form", no_normal_form)
+    ab = Alphabet((2, 1))
+    f = " * ".join(["(X1_1 + X1_2 + X2_1)"] * 6)
+    e = parse(f"{f} - {f} + X1_1 * X1_2", ab)
+    v = is_zero(e, ab)
+    assert isinstance(v, NonzeroWitness) and v.level == 1
+    assert mp_evaluate(e, v.point) == v.value
+
+
+# -- an independent full-level scan as the oracle ---------------------------------
+
+
+def _kids(e):
+    if isinstance(e, Sum):
+        return e.terms
+    if isinstance(e, Product):
+        return e.factors
+    if isinstance(e, Inverse):
+        return (e.arg,)
+    return ()
+
+
+def _naive_value(e, a):
+    """naive_mp_eval(e, a), or (subexpr, path) of the first inverse that a
+    left-to-right evaluation finds singular."""
+    v = naive_mp_eval(e, a)
+    if v is not None:
+        return v
+
+    def first_singular(node, path):
+        for k, kid in enumerate(_kids(node)):
+            hit = first_singular(kid, path + (k,))
+            if hit:
+                return hit
+        if isinstance(node, Inverse) and naive_mp_eval(node, a) is None:
+            return node, path
+        return None
+
+    return first_singular(e, ())
+
+
+def _full_level_scan(value_at, alphabet, cfg):
+    """Every trial of a level first, then the determinant self-check and the
+    level's verdict.  value_at(a) is a _naive_value."""
+    first_undef, decided = None, 0
+    for level in range(1, cfg.max_level + 1):
+        dims = (level,) * len(alphabet.slots())
+        nonzero = []
+        for trial in range(cfg.trials_per_level):
+            a = sample_point(alphabet, dims, cfg, trial)
+            v = value_at(a)
+            if isinstance(v, tuple):
+                first_undef = first_undef or v
+                continue
+            decided += 1
+            if any(x != 0 for row in v for x in row):
+                nonzero.append((trial, a, v))
+        if nonzero:
+            assert any(l_inv(v) is not None for _, _, v in nonzero)
+            trial, a, v = nonzero[0]
+            return "witness", a, v, level, trial
+    if decided == 0:
+        return ("nowhere", *first_undef)
+    return "probably-zero", cfg.max_level, cfg.trials_per_level, decided
+
+
+def _summary(verdict):
+    if isinstance(verdict, NonzeroWitness):
+        return ("witness", verdict.point, verdict.value.data, verdict.level,
+                verdict.trial)
+    if isinstance(verdict, NowhereDefined):
+        return "nowhere", verdict.subexpr, verdict.path
+    assert isinstance(verdict, ProbablyZeroUpTo)
+    return "probably-zero", verdict.max_level, verdict.trials, verdict.decided
+
+
+def _naive_difference(e1, e2):
+    def value_at(a):
+        v1 = _naive_value(e1, a)
+        if isinstance(v1, tuple):
+            return v1
+        v2 = _naive_value(e2, a)
+        if isinstance(v2, tuple):
+            return v2
+        return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(v1, v2)]
+    return value_at
+
+
+def test_scan_matches_full_level_oracle():
+    rng = random.Random("full-level-oracle")
+    rational = [e for e in corpus() if inversion_height(e)]
+    while len(rational) < 28:
+        e = gen_expr(rng, AB2, 3)
+        if inversion_height(e):
+            rational.append(e)
+    rational.append(parse(NOWHERE, AB2))
+    seen = set()
+    for k, e in enumerate(rational):
+        cfg = TestConfig(max_level=3, trials_per_level=3, seed=k % 3)
+        got = _summary(is_zero(e, AB2, cfg))
+        assert got == _full_level_scan(lambda a: _naive_value(e, a), AB2, cfg)
+        seen.add(got[0])
+        other = rational[(7 * k + 3) % len(rational)]
+        pairs = [(e, other), (other, e)] + [(e, e)] * (k % 4 == 0)
+        for lhs, rhs in pairs:
+            got = _summary(equivalent(lhs, rhs, AB2, cfg))
+            assert got == _full_level_scan(_naive_difference(lhs, rhs), AB2, cfg)
+            seen.add(got[0])
+    assert seen == {"witness", "nowhere", "probably-zero"}

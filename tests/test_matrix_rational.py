@@ -221,6 +221,27 @@ def test_shared_pivot_evaluators_choose_the_pivots_of_public_is_zero(monkeypatch
         matrix_inverse_expr(singular, CFG)
 
 
+def test_generic_pivot_search_builds_one_evaluator(monkeypatch):
+    # every pivot test is decided by the first 1x1 sample point: the
+    # depth-0 entry is a polynomial nonzero there, and a nonzero 1x1 value
+    # of a deeper entry is nonsingular
+    built = []
+
+    class CountingEvaluator(mprat.matrix_rational.Evaluator):
+        def __init__(self, point):
+            built.append(point.dims)
+            super().__init__(point)
+
+    monkeypatch.setattr(mprat.matrix_rational, "Evaluator", CountingEvaluator)
+    m = em(AB1, [["2*X1_1 + 3*X1_2 + 5", "7*X1_1 + 2*X1_2 + 3", "4*X1_1 + 9*X1_2 + 2"],
+                 ["3*X1_1 + 8*X1_2 + 6", "5*X1_1 + 4*X1_2 + 9", "6*X1_1 + 2*X1_2 + 7"],
+                 ["9*X1_1 + 5*X1_2 + 4", "2*X1_1 + 6*X1_2 + 8", "8*X1_1 + 3*X1_2 + 5"]])
+    res = matrix_inverse_expr(m)
+    assert [(r.depth, r.witness.level, r.witness.trial) for r in res.pivots] == [
+        (0, 1, 0), (1, 1, 0), (2, 1, 0)]
+    assert built == [(1,)]
+
+
 def test_not_invertible_raises():
     m = em(AB1, [["X1_1", "X1_1"], ["X1_1", "X1_1"]])
     with pytest.raises(NotInvertible):

@@ -37,6 +37,13 @@ from mprat.expression import (  # noqa: E402
     format_expr,
     inverse_of,
     parse,
+    poly_normal_form,
+)
+from mprat.identity import (  # noqa: E402
+    ExactZero,
+    TestConfig,
+    _hunt_polynomial_witness,
+    is_zero,
 )
 from mprat.matrix_kernel import (  # noqa: E402
     QQ,
@@ -154,6 +161,36 @@ def test_reduced_realization_matches_the_naive_evaluator(e, seed, sizes):
     want = naive_nc_eval(e, _assign(a), s * m)
     if want is not None:
         assert real_evaluate(r, a).data == want
+
+
+def _grow_polynomial(inner):
+    children = st.lists(inner, min_size=2, max_size=3)
+    return st.one_of(children.map(expr_sum), children.map(expr_product), inner.map(expr_neg))
+
+
+def _commutator(x, y):
+    return expr_sum([expr_product([x, y]), expr_neg(expr_product([y, x]))])
+
+
+# commutators are zero at level 1, and zero outright across parts
+polynomials = st.recursive(
+    st.one_of(st.sampled_from(AB.letters()), consts,
+              st.builds(_commutator, st.sampled_from(AB.letters()), st.sampled_from(AB.letters()))),
+    _grow_polynomial, max_leaves=10)
+
+
+@SETTINGS
+@hypothesis.given(polynomials)
+def test_inverse_free_zero_test_matches_the_normal_form_first_route(e):
+    cfg = TestConfig(max_level=2, trials_per_level=3)
+    nf = poly_normal_form(e, AB)
+    if not nf:
+        want = ExactZero()
+    else:
+        degree = max(len(word) for mono in nf for word in mono)
+        want = _hunt_polynomial_witness(e, AB, cfg, degree // 2 + 1,
+                                        lambda x, trial, a: mp_evaluate(x, a))
+    assert is_zero(e, AB, cfg) == want
 
 
 # zeros and small integers (zero pivots, integral lines) mixed with large
