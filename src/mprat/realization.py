@@ -11,7 +11,11 @@ the pencil argument vanishes, so p always lies in the domain.
 Evaluation at a point of size s*m amplifies every coefficient block X to
 I_s (x) X; this is a unital homomorphism on the coefficients, so the
 realization identity survives the size change and real_evaluate agrees with
-plain evaluation wherever both sides are defined.
+plain evaluation wherever both sides are defined.  Every C block sits in
+a letter column, so with the letter coordinates L first and the others N
+after, the amplified pencil is block lower triangular, [[I - K_LL, 0],
+[-K_NL, I]], and det(pencil) = det(I - K_LL): evaluation and the domain
+test build and solve the rho letter coordinates' block only.
 
 Construction is one bottom-up fold that builds each node's realization
 together with its value at p from its children's: sums stack two
@@ -33,17 +37,9 @@ from typing import Sequence
 from .evaluation import NcPoint, Undefined
 from .expression import (Alphabet, Const, Expr, Inverse, Product, Sum, Var, _path_to, fold,
                          validate_vars)
-from .matrix_kernel import (
-    Matrix,
-    _det_nonzero,
-    block_matrix,
-    det,  # noqa: F401  bound here for perfbench/tracing.py, which wraps it by name
-    inv_det,
-    kron,  # noqa: F401  bound here for perfbench/tracing.py, which wraps it by name
-    scalar_matrix,
-    solve,
-    tau_embed,
-)
+from .matrix_kernel import (Matrix, _det_nonzero, block_matrix, inv_det, scalar_matrix, solve,
+                            tau_embed)
+from .matrix_kernel import det, kron  # noqa: F401  bound for perfbench/tracing.py to wrap by name
 
 Blocks = dict[tuple[int, int], Matrix]
 
@@ -108,19 +104,23 @@ def _zeros(m: int) -> Matrix:
     return Matrix.zeros(m, m)
 
 
+def _column_sums(C: Blocks, c: Sequence[Matrix], rows: set[int]) -> dict[int, Matrix]:
+    """Each column u's sum of c[k] @ C[k, u] over the block rows k in rows."""
+    sums: dict[int, Matrix] = {}
+    for (k, u), mat in C.items():
+        if k in rows:
+            prod = c[k] @ mat
+            sums[u] = sums[u] + prod if u in sums else prod
+    return sums
+
+
 def _couple(C: Blocks, c: Sequence[Matrix], left: Sequence[Matrix], shift: int) -> Blocks:
     """C moved down and right by shift coordinates, with its constant
     coupling folded in: left[k] @ colsum is added into block (k, shift + u)
     for each nonzero column sum u of c times C, and blocks that cancel are
     dropped."""
     out = {(k + shift, u + shift): mat for (k, u), mat in C.items()}
-    sums: dict[int, Matrix] = {}
-    support = {k for k, ck in enumerate(c) if not ck.is_zero()}
-    for (k, u), mat in C.items():
-        if k in support:
-            prod = c[k] @ mat
-            sums[u] = sums[u] + prod if u in sums else prod
-    for u, colsum in sums.items():
+    for u, colsum in _column_sums(C, c, {k for k, ck in enumerate(c) if not ck.is_zero()}).items():
         if colsum.is_zero():
             continue
         for k, lk in enumerate(left):
@@ -211,50 +211,63 @@ def realize(e: Expr, alphabet: Alphabet, p: Sequence[Matrix]) -> Realization:
     return fold(e, rule)[0]
 
 
-def _amplified_pencil(r: Realization, a: Sequence[Matrix]) -> tuple[Matrix, tuple[int, int]]:
-    """I - (I_s (x) C)(I_n (x) diag(a_l(u) - I_s (x) p_l(u))), dense, and the
-    slot sizes (s, m) of the amplification."""
+def _letter_pencil(r: Realization, a: Sequence[Matrix]):
+    """I - K_LL on the letter coordinates in increasing order, the slot sizes
+    (s, m) of the amplification, and a_l - I_s (x) p_l by letter."""
     if len(a) != r.g:
         raise ValueError(f"expected {r.g} point matrices, got {len(a)}")
     size = a[0].rows
-    for mat in a:
-        if not (mat.is_square() and mat.rows == size):
-            raise ValueError("point matrices must be square, equal size")
+    if not all(mat.is_square() and mat.rows == size for mat in a):
+        raise ValueError("point matrices must be square, equal size")
     # about a 0x0 base point every amplification is 0x0, so s = 0 will do
     s = size // r.m if r.m else 0
     if s * r.m != size:
         raise ValueError(f"point size {size} is not a multiple of the base size {r.m}")
     dims = (s, r.m)
-    diffs = [a[i] - tau_embed(2, r.p[i], dims) for i in range(r.g)]
-    n = r.dim
-    if n == 0:
-        return Matrix.zeros(0, 0), dims
-    eye_size = Matrix.identity(size)
-    zero_size = Matrix.zeros(size, size)
-    grid = [[eye_size if k == l else zero_size for l in range(n)] for k in range(n)]
+    diffs = {l: a[l - 1] - tau_embed(2, r.p[l - 1], dims) for l in set(r.letters.values())}
+    pos = {u: i for i, u in enumerate(sorted(r.letters))}
+    if not pos:
+        return Matrix.zeros(0, 0), dims, diffs
+    eye_size, zero_size = Matrix.identity(size), Matrix.zeros(size, size)
+    grid = [[eye_size if k == l else zero_size for l in pos] for k in pos]
     for (k, u), mat in r.C.items():
-        grid[k][u] = grid[k][u] - tau_embed(2, mat, dims) @ diffs[r.letters[u] - 1]
-    return block_matrix(grid), dims
+        if k in pos:
+            grid[pos[k]][pos[u]] -= tau_embed(2, mat, dims) @ diffs[r.letters[u]]
+    return block_matrix(grid), dims, diffs
 
 
 def real_evaluate(r: Realization, a: Sequence[Matrix]) -> Matrix | PencilSingular:
-    """c (I - L(a - p))^{-1} b with every block amplified to the size of a."""
-    lam, dims = _amplified_pencil(r, a)
-    if r.dim == 0:
-        return Matrix.zeros(a[0].rows, a[0].rows)
-    x = solve(lam, block_matrix([[tau_embed(2, bk, dims)] for bk in r.b]))
+    """c (I - L(a - p))^{-1} b with every block amplified to the size of a.
+
+    The pencil is [[I - K_LL, 0], [-K_NL, I]] with K_ku = (I_s (x) C_ku) D_u,
+    D_u = a_l(u) - I_s (x) p_l(u), so it is singular exactly when I - K_LL
+    is.  Only I - K_LL is solved, for x_L; x_N = b_N + K_NL x_L is never
+    formed: with e_u = sum_N c_k C_ku at base size, the value is
+    I_s (x) sum_N c_k b_k + sum_L (I_s (x) c_u + (I_s (x) e_u) D_u) x_u.
+    """
+    lam, dims, diffs = _letter_pencil(r, a)
+    rest = {k for k, ck in enumerate(r.c) if k not in r.letters and not ck.is_zero()}
+    value = tau_embed(2, sum((r.c[k] @ r.b[k] for k in rest), _zeros(r.m)), dims)
+    if not r.letters:
+        return value
+    order = sorted(r.letters)
+    x = solve(lam, block_matrix([[tau_embed(2, r.b[u], dims)] for u in order]))
     if x is None:
         return PencilSingular()
-    return block_matrix([[tau_embed(2, ck, dims) for ck in r.c]]) @ x
+    e = _column_sums(r.C, r.c, rest)
+    row = [tau_embed(2, r.c[u], dims) + tau_embed(2, e[u], dims) @ diffs[r.letters[u]]
+           if u in e else tau_embed(2, r.c[u], dims) for u in order]
+    return value + block_matrix([row]) @ x
 
 
 def real_domain_contains(r: Realization, a: Sequence[Matrix]) -> bool:
     """Exact determinant test of the amplified pencil at a, mod p first.
 
-    A dim-0 pencil is the empty matrix, whose determinant is one, so the
-    point is still checked and then always lies in the domain.
+    Only I - K_LL is built, since det(pencil) = det(I - K_LL).  With no
+    letter coordinate it is the empty matrix, whose determinant is one, so
+    the point is still checked and then always lies in the domain.
     """
-    return _det_nonzero(_amplified_pencil(r, a)[0])
+    return _det_nonzero(_letter_pencil(r, a)[0])
 
 
 def _closure(start: set[int], step: dict[int, list[int]]) -> set[int]:

@@ -54,7 +54,13 @@ from mprat.matrix_kernel import (  # noqa: E402
     kron,
     solve,
 )
-from mprat.realization import real_evaluate, real_reduce, realize  # noqa: E402
+from mprat.realization import (  # noqa: E402
+    PencilSingular,
+    real_domain_contains,
+    real_evaluate,
+    real_reduce,
+    realize,
+)
 
 AB = Alphabet((2, 2))
 # three slots: part 1 primed (slots 0 and 1), part 2 (slot 2)
@@ -148,7 +154,8 @@ def _assign(mats):
 @SETTINGS
 @hypothesis.given(exprs, st.integers(0, 2 ** 32), st.sampled_from([(1, 1), (1, 2), (2, 1)]))
 def test_reduced_realization_matches_the_naive_evaluator(e, seed, sizes):
-    # base size m, point size s * m; bases where e is undefined are skipped
+    # base size m, point size s * m; bases where e is undefined are skipped.
+    # The domain test must agree with the evaluation at every drawn point.
     m, s = sizes
     rng = random.Random(seed)
     base = next((b for b in (tuple(rand_matrix(rng, m, 3) for _ in AB.letters())
@@ -159,8 +166,10 @@ def test_reduced_realization_matches_the_naive_evaluator(e, seed, sizes):
     r = real_reduce(realize(e, AB, base))
     a = tuple(rand_matrix(rng, s * m, 3) for _ in AB.letters())
     want = naive_nc_eval(e, _assign(a), s * m)
+    value = real_evaluate(r, a)
+    assert real_domain_contains(r, a) == (not isinstance(value, PencilSingular))
     if want is not None:
-        assert real_evaluate(r, a).data == want
+        assert value.data == want
 
 
 def _grow_polynomial(inner):

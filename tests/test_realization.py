@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import CORPUS_ALPHABET, corpus, rand_invertible, rand_matrix
+import mprat.realization
+from helpers import (CORPUS_ALPHABET, corpus, l_add, l_eye, l_inv, l_kron, l_mul, l_scalar,
+                     rand_invertible, rand_matrix)
 from mprat.evaluation import MpPoint, NcPoint, Undefined, nc_evaluate, mp_evaluate, tau_point
 from mprat.expression import Alphabet, Const, Inverse, Product, Sum, Var, parse
 from mprat.matrix_kernel import QQ, Matrix, inv_det, scalar_matrix
@@ -351,3 +353,119 @@ def test_realization_validation():
     # letter coordinate at or beyond dim
     with pytest.raises(ValueError):
         Realization(2, (eye,), 1, (eye,), (eye,), {1: 1}, {})
+
+
+# -- the dense pencil as an oracle ------------------------------------------------
+
+
+def dense_pencil_value(r, a):
+    """c P^{-1} b for the whole pencil P = I - L(a - p) of size dim * s * m,
+    built block by block from plain lists of Fractions; None when P is
+    singular."""
+    size = a[0].rows
+    eye_s = l_eye(size // r.m)
+
+    def amp(mat):
+        return l_kron(eye_s, mat.data)
+
+    if r.dim == 0:
+        return l_scalar(size, 0)
+    n = r.dim * size
+    pencil = l_eye(n)
+    for (k, u), mat in r.C.items():
+        letter = r.letters[u] - 1
+        diff = l_add(a[letter].data, l_mul(l_scalar(size, -1), amp(r.p[letter])))
+        block = l_mul(amp(mat), diff)
+        for i in range(size):
+            for j in range(size):
+                pencil[k * size + i][u * size + j] -= block[i][j]
+    inv = l_inv(pencil)
+    if inv is None:
+        return None
+    c_row = [[x for ck in r.c for x in amp(ck)[i]] for i in range(size)]
+    b_col = [row for bk in r.b for row in amp(bk)]
+    return l_mul(l_mul(c_row, inv), b_col)
+
+
+def assert_matches_dense_pencil(r, a):
+    """real_evaluate and real_domain_contains against the dense pencil;
+    True when the pencil is singular at a."""
+    want = dense_pencil_value(r, a)
+    value = real_evaluate(r, a)
+    assert real_domain_contains(r, a) == (want is not None)
+    if want is None:
+        assert isinstance(value, PencilSingular)
+    else:
+        assert isinstance(value, Matrix) and value.data == want
+    return want is None
+
+
+def test_corpus_matches_the_dense_pencil():
+    # base size 1, entries in {-1, 0, 1}: many points make the pencil singular
+    rng = random.Random("re-dense")
+    singular = total = 0
+    for e in corpus():
+        while True:
+            try:
+                r = realize(e, CORPUS_ALPHABET, rand_base(rng, CORPUS_ALPHABET, 1, bound=2))
+                break
+            except BasePointOutsideDomain:
+                continue
+        for real in (r, real_reduce(r)):
+            for s in (1, 2, 3):
+                for _ in range(2):
+                    a = tuple(rand_matrix(rng, s, bound=1) for _ in range(4))
+                    singular += assert_matches_dense_pencil(real, a)
+                    total += 1
+    assert 10 <= singular <= total - 100
+
+
+def hand_built(rng, m=2):
+    """dim 5 with letters on 1, 3 and 4 only; the other coordinates carry
+    nonzero c and b and nonzero C rows, and one letter column has blocks in
+    every row."""
+    p = tuple(rand_matrix(rng, m, 3) for _ in range(2))
+    c = tuple(rand_invertible(rng, m, 3) for _ in range(5))
+    b = tuple(rand_invertible(rng, m, 3) for _ in range(5))
+    C = {(k, u): rand_invertible(rng, m, 3)
+         for k, u in ((0, 1), (0, 3), (1, 1), (2, 1), (2, 4), (3, 3), (4, 1), (4, 4))}
+    C |= {(k, 3): rand_invertible(rng, m, 3) for k in range(5)}
+    return Realization(m, p, 5, c, b, {1: 1, 3: 2, 4: 1}, C)
+
+
+def test_hand_built_realizations_match_the_dense_pencil():
+    rng = random.Random("re-dense-hand")
+    m = 2
+    r = hand_built(rng, m)
+    p = r.p
+    no_letters = Realization(m, p, 2, r.c[:2], r.b[:2], {}, {})
+    empty = Realization(m, p, 0, (), (), {}, {})
+    for real in (r, no_letters, empty):
+        for s in (1, 2, 3):
+            for _ in range(3):
+                assert_matches_dense_pencil(real, [rand_matrix(rng, s * m, 2) for _ in p])
+    # base-size points with entries in {-1, 0, 1} make the pencil singular now and then
+    singular = 0
+    for _ in range(40):
+        a = [rand_matrix(rng, m, 1) for _ in p]
+        singular += assert_matches_dense_pencil(r, a)
+    assert singular
+
+
+def test_evaluation_solves_on_the_letter_coordinates_only(monkeypatch):
+    shapes = []
+    real_solve = mprat.realization.solve
+
+    def recording_solve(a, b):
+        shapes.append((a.rows, a.cols, b.rows, b.cols))
+        return real_solve(a, b)
+
+    monkeypatch.setattr(mprat.realization, "solve", recording_solve)
+    rng = random.Random("re-solve-size")
+    r = hand_built(rng)
+    assert r.dim > r.rho == 3
+    for s in (1, 2):
+        size = s * r.m
+        shapes.clear()
+        assert isinstance(real_evaluate(r, [rand_matrix(rng, size) for _ in r.p]), Matrix)
+        assert shapes == [(r.rho * size, r.rho * size, r.rho * size, size)]
