@@ -128,10 +128,7 @@ def load_point(path: str, alphabet: Alphabet) -> MpPoint:
         if not isinstance(mats, list) or len(mats) != want:
             raise CliError(f"{path}: part {i} needs {want} matrices")
         out.append(tuple(_matrix(m, n, f"{path} part {i}") for m in mats))
-    try:
-        return MpPoint(alphabet, tuple(out))
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from None
+    return MpPoint(alphabet, tuple(out))
 
 
 def load_base_point(path: str, alphabet: Alphabet) -> list[Matrix]:
@@ -283,11 +280,7 @@ def cmd_bf_eval(ns) -> tuple[dict, int]:
         if not isinstance(mats, list) or len(mats) != ns.g:
             raise CliError(f"{ns.point}: '{key}' needs {ns.g} matrices")
         fams[key] = tuple(_matrix(m, n, f"{ns.point} {key}") for m in mats)
-    try:
-        p = BfPoint(ns.g, n, fams["a_outer"], fams["a_inner"],
-                    fams["b_inner"], fams["b_outer"])
-    except ValueError as exc:
-        raise CliError(f"{ns.point}: {exc}") from None
+    p = BfPoint(ns.g, n, fams["a_outer"], fams["a_inner"], fams["b_inner"], fams["b_outer"])
     e = load_expr(ns.expr, Alphabet((ns.g, ns.g)))
     res = bf_evaluate(e, p)
     if isinstance(res, Undefined):

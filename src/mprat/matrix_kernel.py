@@ -20,8 +20,11 @@ integers and call ``_normalise`` once (a gcd pass); transposes and slot
 embeddings only move entries.
 
 The one elimination is ``_solve_det(a, b) -> ((num, den) | None, det)``,
-which solves ``A X = B`` and returns det A on the way; ``det``, ``solve``
-and ``inv_det`` only check and dispatch.  It is fraction-free Bareiss
+which solves ``A X = B`` and returns det A on the way; ``det`` and ``solve``
+only check and dispatch, and so does ``inv_det`` above 3x3.  Up to 3x3
+``inv_det`` takes the adjugate of the integer rows in closed form instead,
+den * adj / det over one ``_normalise``, which gives the same canonical
+result several times faster.  ``_solve_det`` is fraction-free Bareiss
 elimination on the stored integers ``[Na | Nb]`` of A = Na / Da and
 B = Nb / Db.  With dN = det Na (the signed last pivot), y = dN * Na^-1 Nb
 is integral by Cramer's rule, so back substitution
@@ -39,7 +42,8 @@ with identities on the other slots (``tau_embed`` is its one-slot case, I
 (x) A (x) I); a matrix on disjoint slots joins it by ``kron`` and
 ``permute_kron_factors``; and a scalar c * I enters a product as
 ``Matrix.scale`` and a sum as ``Matrix.add_scalar``.  None of them is ever a
-dense operand of ``matmul``.
+dense operand of ``matmul``: an amplified factor I_s (x) X multiplies by row
+bands in ``amplified_matmul``.
 """
 
 from __future__ import annotations
@@ -304,6 +308,20 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix._normal(num, a.den * b.den, a.cols * b.cols)
 
 
+def amplified_matmul(x: Matrix, y: Matrix) -> Matrix:
+    """(I_s (x) x) @ y for the s that fits y's rows, I_s (x) x never formed:
+    row band i of the product is x times the i-th x.cols-row slice of y."""
+    x._check(y, same_shape=False)
+    m = x.cols
+    if m == 0 and y.rows or m and y.rows % m:
+        raise ValueError(f"cannot amplify {x.rows}x{m} to multiply {y.rows}x{y.cols}")
+    num = []
+    for i in range(0, y.rows, m or 1):
+        cols = list(zip(*y.num[i:i + m]))
+        num += [[sum(map(_mul, row, col)) for col in cols] for row in x.num]
+    return Matrix._normal(num, x.den * y.den, y.cols)
+
+
 def block_matrix(grid: Sequence[Sequence[Matrix]]) -> Matrix:
     """The matrix laid out from a non-empty rectangular grid of blocks.
 
@@ -542,9 +560,41 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
     return None if x is None else Matrix._raw(*x, b.cols)
 
 
+#: the largest size whose inverse ``inv_det`` takes from the adjugate
+CLOSED_FORM_MAX = 3
+
+
+def _adjugate(num: list[list[int]]):
+    """(adj N, det N) of an integer matrix of size at most CLOSED_FORM_MAX."""
+    n = len(num)
+    if n < 2:
+        return [[1]] * n, num[0][0] if n else 1
+    if n == 2:
+        (a, b), (c, d) = num
+        return [[d, -b], [-c, a]], a * d - b * c
+    (a, b, c), (d, e, f), (g, h, i) = num
+    c0, c1, c2 = e * i - f * h, f * g - d * i, d * h - e * g
+    return ([[c0, c * h - b * i, b * f - c * e],
+             [c1, a * i - c * g, c * d - a * f],
+             [c2, b * g - a * h, a * e - b * d]], a * c0 + b * c1 + c * c2)
+
+
 def inv_det(a: Matrix):
-    """(A^{-1}, det A) for invertible A, or None when A is singular."""
+    """(A^{-1}, det A) for invertible A, or None when A is singular.
+
+    Up to CLOSED_FORM_MAX rows, with A = N / den and dn = det N, the inverse
+    is den * adj N / dn and det A = dn / den^n; larger sizes eliminate.
+    """
     if not a.is_square():
         raise ValueError("inverse of a non-square matrix")
-    x, d = _solve_det(a, Matrix.identity(a.rows))
-    return None if x is None else (Matrix._raw(*x, a.rows), d)
+    n = a.rows
+    if n > CLOSED_FORM_MAX:
+        x, d = _solve_det(a, Matrix.identity(n))
+        return None if x is None else (Matrix._raw(*x, n), d)
+    adj, dn = _adjugate(a.num)
+    if dn == 0:
+        return None
+    den = a.den
+    if den != 1:
+        adj = [[den * k for k in row] for row in adj]
+    return Matrix._raw(*_normalise(adj, dn), n), Fraction(dn, den ** n)

@@ -14,8 +14,13 @@ realization identity survives the size change and real_evaluate agrees with
 plain evaluation wherever both sides are defined.  Every C block sits in
 a letter column, so with the letter coordinates L first and the others N
 after, the amplified pencil is block lower triangular, [[I - K_LL, 0],
-[-K_NL, I]], and det(pencil) = det(I - K_LL): evaluation and the domain
-test build and solve the rho letter coordinates' block only.
+[-K_NL, I]].  I - K_LL is block lower triangular in turn over the strongly
+connected components of L, where k reads u through block (k, u) and
+K_ku = (I_s (x) C_ku)(a_l(u) - I_s (x) p_l(u)).  So det(pencil) is the
+product of the blocks of the components that read themselves: evaluation
+solves each such block alone, a component that does not read itself needs
+no solve, and the domain test takes the determinants of those blocks only.
+Each I_s (x) X multiplies by row bands (amplified_matmul), never formed.
 
 Construction is one bottom-up fold that builds each node's realization
 together with its value at p from its children's: sums stack two
@@ -37,8 +42,8 @@ from typing import Sequence
 from .evaluation import NcPoint, Undefined
 from .expression import (Alphabet, Const, Expr, Inverse, Product, Sum, Var, _path_to, fold,
                          validate_vars)
-from .matrix_kernel import (Matrix, _det_nonzero, block_matrix, inv_det, scalar_matrix, solve,
-                            tau_embed)
+from .matrix_kernel import (Matrix, _det_nonzero, amplified_matmul, block_matrix, inv_det,
+                            scalar_matrix, solve, tau_embed)
 from .matrix_kernel import det, kron  # noqa: F401  bound for perfbench/tracing.py to wrap by name
 
 Blocks = dict[tuple[int, int], Matrix]
@@ -211,9 +216,9 @@ def realize(e: Expr, alphabet: Alphabet, p: Sequence[Matrix]) -> Realization:
     return fold(e, rule)[0]
 
 
-def _letter_pencil(r: Realization, a: Sequence[Matrix]):
-    """I - K_LL on the letter coordinates in increasing order, the slot sizes
-    (s, m) of the amplification, and a_l - I_s (x) p_l by letter."""
+def _point_diffs(r: Realization, a: Sequence[Matrix]):
+    """The slot sizes (s, m) of the amplification and D_u = a_l(u) - I_s (x) p_l(u)
+    by letter coordinate u."""
     if len(a) != r.g:
         raise ValueError(f"expected {r.g} point matrices, got {len(a)}")
     size = a[0].rows
@@ -225,49 +230,110 @@ def _letter_pencil(r: Realization, a: Sequence[Matrix]):
         raise ValueError(f"point size {size} is not a multiple of the base size {r.m}")
     dims = (s, r.m)
     diffs = {l: a[l - 1] - tau_embed(2, r.p[l - 1], dims) for l in set(r.letters.values())}
-    pos = {u: i for i, u in enumerate(sorted(r.letters))}
-    if not pos:
-        return Matrix.zeros(0, 0), dims, diffs
-    eye_size, zero_size = Matrix.identity(size), Matrix.zeros(size, size)
-    grid = [[eye_size if k == l else zero_size for l in pos] for k in pos]
+    return dims, {u: diffs[l] for u, l in r.letters.items()}
+
+
+def _components(r: Realization):
+    """Each letter coordinate k's blocks C_ku by the letter coordinate u it
+    reads, and the strongly connected components of that relation, each one
+    after every component it reads from (Tarjan's algorithm, iteratively)."""
+    reads: dict[int, dict[int, Matrix]] = {k: {} for k in sorted(r.letters)}
     for (k, u), mat in r.C.items():
-        if k in pos:
-            grid[pos[k]][pos[u]] -= tau_embed(2, mat, dims) @ diffs[r.letters[u]]
-    return block_matrix(grid), dims, diffs
+        if k in reads:
+            reads[k][u] = mat
+    index, low, todo, stack, comps = {}, {}, {}, [], []  # low: the coordinates on the stack
+    for root in reads:
+        work = [] if root in index else [root]
+        while work:
+            u = work[-1]
+            if u not in index:
+                index[u] = low[u] = len(index)
+                stack.append(u)
+                todo[u] = iter(reads[u])
+            for v in todo[u]:
+                if v not in index:
+                    work.append(v)
+                    break
+                if v in low:
+                    low[u] = min(low[u], index[v])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1]] = min(low[work[-1]], low[u])
+                if low[u] == index[u]:
+                    comp = [stack.pop()]
+                    while comp[-1] != u:
+                        comp.append(stack.pop())
+                    for v in comp:
+                        del low[v]
+                    comps.append(comp)
+    return reads, comps
+
+
+def _pencil(comp: list[int], reads, D) -> Matrix | None:
+    """I - K on one component's coordinates, K_ku = (I_s (x) C_ku) D_u, or None
+    when the component does not read itself and its block is I."""
+    if len(comp) == 1 and comp[0] not in reads[comp[0]]:
+        return None
+    size = D[comp[0]].rows
+    pos = {u: i for i, u in enumerate(comp)}
+    eye, zero = Matrix.identity(size), Matrix.zeros(size, size)
+    grid = [[eye if k == u else zero for u in comp] for k in comp]
+    for k in comp:
+        for u, mat in reads[k].items():
+            if u in pos:
+                grid[pos[k]][pos[u]] -= amplified_matmul(mat, D[u])
+    return block_matrix(grid)
 
 
 def real_evaluate(r: Realization, a: Sequence[Matrix]) -> Matrix | PencilSingular:
     """c (I - L(a - p))^{-1} b with every block amplified to the size of a.
 
-    The pencil is [[I - K_LL, 0], [-K_NL, I]] with K_ku = (I_s (x) C_ku) D_u,
-    D_u = a_l(u) - I_s (x) p_l(u), so it is singular exactly when I - K_LL
-    is.  Only I - K_LL is solved, for x_L; x_N = b_N + K_NL x_L is never
-    formed: with e_u = sum_N c_k C_ku at base size, the value is
-    I_s (x) sum_N c_k b_k + sum_L (I_s (x) c_u + (I_s (x) e_u) D_u) x_u.
+    With D_u = a_l(u) - I_s (x) p_l(u) and w_u = D_u x_u, letter coordinate k
+    has x_k = I_s (x) b_k + sum_u (I_s (x) C_ku) w_u.  The letter coordinates
+    are taken by strongly connected component, each after those it reads
+    from: one that does not read itself is that sum, one that does solves
+    its own block, and each w_u is formed once.  x_k of the other
+    coordinates N is never formed: with e_u = sum_N c_k C_ku at base size,
+    the value is
+    I_s (x) sum_N c_k b_k + sum_L (I_s (x) c_u) x_u + (I_s (x) e_u) w_u.
     """
-    lam, dims, diffs = _letter_pencil(r, a)
+    dims, D = _point_diffs(r, a)
     rest = {k for k, ck in enumerate(r.c) if k not in r.letters and not ck.is_zero()}
     value = tau_embed(2, sum((r.c[k] @ r.b[k] for k in rest), _zeros(r.m)), dims)
-    if not r.letters:
-        return value
-    order = sorted(r.letters)
-    x = solve(lam, block_matrix([[tau_embed(2, r.b[u], dims)] for u in order]))
-    if x is None:
-        return PencilSingular()
+    reads, comps = _components(r)
     e = _column_sums(r.C, r.c, rest)
-    row = [tau_embed(2, r.c[u], dims) + tau_embed(2, e[u], dims) @ diffs[r.letters[u]]
-           if u in e else tau_embed(2, r.c[u], dims) for u in order]
-    return value + block_matrix([row]) @ x
+    w: dict[int, Matrix] = {}
+    for comp in comps:
+        xs = [sum((amplified_matmul(mat, w[u]) for u, mat in reads[k].items() if u in w),
+                  tau_embed(2, r.b[k], dims)) for k in comp]
+        pencil = _pencil(comp, reads, D)
+        if pencil is not None:
+            sol = solve(pencil, block_matrix([[x] for x in xs]))
+            if sol is None:
+                return PencilSingular()
+            n = sol.cols
+            xs = [sol.submatrix(i * n, i * n + n, 0, n) for i in range(len(comp))]
+        for u, x in zip(comp, xs):
+            if not r.c[u].is_zero():
+                value += amplified_matmul(r.c[u], x)
+            w[u] = D[u] @ x
+            if u in e:
+                value += amplified_matmul(e[u], w[u])
+    return value
 
 
 def real_domain_contains(r: Realization, a: Sequence[Matrix]) -> bool:
     """Exact determinant test of the amplified pencil at a, mod p first.
 
-    Only I - K_LL is built, since det(pencil) = det(I - K_LL).  With no
-    letter coordinate it is the empty matrix, whose determinant is one, so
-    the point is still checked and then always lies in the domain.
+    det(pencil) is the product of the blocks of the letter components that
+    read themselves, so only those are built and tested.  With none, the
+    point is still checked and then always lies in the domain.
     """
-    return _det_nonzero(_letter_pencil(r, a)[0])
+    D = _point_diffs(r, a)[1]
+    reads, comps = _components(r)
+    pencils = (_pencil(comp, reads, D) for comp in comps)
+    return all(pencil is None or _det_nonzero(pencil) for pencil in pencils)
 
 
 def _closure(start: set[int], step: dict[int, list[int]]) -> set[int]:

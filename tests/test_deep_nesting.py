@@ -25,9 +25,9 @@ from mprat.expression import (
     validate_vars,
 )
 from mprat.identity import NonzeroWitness, ProbablyZeroUpTo, TestConfig, equivalent, is_zero
-from mprat.matrix_kernel import QQ, Matrix
+from mprat.matrix_kernel import QQ, Matrix, scalar_matrix
 from mprat.matrix_rational import partial_evaluate
-from mprat.realization import realize
+from mprat.realization import Realization, real_domain_contains, real_evaluate, realize
 
 F = Fraction
 LIMIT = 250
@@ -167,12 +167,27 @@ def check_realize():
     assert value == scalar(2 ** N - 1 + 2 ** N * 2)
 
 
+def check_real_evaluate_on_a_chain():
+    # letter coordinates 0..N, u reading u + 1: N + 1 components in a chain
+    # that no recursive search could walk; x_u = (a - p) x_(u+1) from x_N = 1
+    one, zero = scalar(1), scalar(0)
+    r = Realization(1, (scalar(3),), N + 1, (one,) + (zero,) * N, (zero,) * N + (one,),
+                    dict.fromkeys(range(N + 1), 1), {(u, u + 1): one for u in range(N)})
+    a = Matrix.of(QQ, [[4, 1], [-2, 5]])
+    d = a - scalar_matrix(2, 3)
+    want = Matrix.identity(2)
+    for _ in range(N):
+        want = want @ d
+    assert real_evaluate(r, [a]) == want
+    assert real_domain_contains(r, [a])
+
+
 @pytest.mark.parametrize("check", [
     check_parse, check_eq_and_hash, check_eq_and_hash_on_shared_subtrees,
     check_format_expr, check_format_expr_with_sharing, check_repr,
     check_validate_vars, check_mp_evaluate, check_is_zero, check_equivalent,
     check_delta, check_prime_part, check_poly_normal_form,
-    check_partial_evaluate, check_realize,
+    check_partial_evaluate, check_realize, check_real_evaluate_on_a_chain,
 ], ids=lambda c: c.__name__.removeprefix("check_"))
 def test_deeper_than_the_recursion_limit(check):
     assert N > sys.getrecursionlimit()

@@ -10,11 +10,14 @@ import pytest
 from helpers import l_eye, l_inv, l_kron, l_mul, laplace_det
 from mprat import matrix_kernel
 from mprat.matrix_kernel import (
+    CLOSED_FORM_MAX,
     MERSENNE61,
     QQ,
     Matrix,
     _det_mod,
     _det_nonzero,
+    _solve_det,
+    amplified_matmul,
     block_matrix,
     commutation_matrix,
     det,
@@ -519,6 +522,60 @@ def test_inv_det_and_solve_match_reference():
         b = rand_wide_matrix(rng, n, 3)
         assert solve(a, b).data == l_mul(want, b.data)
         checked += 1
+
+
+def check_closed_form(a):
+    # the adjugate path against the elimination, canonical num/den included
+    x, d = _solve_det(a, Matrix.identity(a.rows))
+    res = inv_det(a)
+    if x is None:
+        assert res is None and d == 0
+    else:
+        assert res == (Matrix._raw(*x, a.rows), d)
+        assert type(res[1]) is Fraction
+    return res
+
+
+def test_closed_form_inverse_matches_the_elimination():
+    assert CLOSED_FORM_MAX == 3
+    cases = [
+        Matrix.zeros(0, 0),
+        Matrix.of(QQ, [["-3/4"]]),
+        Matrix.of(QQ, [[0]]),
+        Matrix.of(QQ, [[1, 2], [3, 4]]),                          # det -2
+        Matrix.of(QQ, [[0, "2/3"], ["-5/2", 1]]),                 # row swap, det 5/3
+        Matrix.of(QQ, [["1/2", "1/3"], ["3/2", 1]]),              # singular
+        Matrix.of(QQ, [[0, 0, 2], [0, 3, 1], [5, 1, 1]]),         # row swaps, det -30
+        Matrix.of(QQ, [[1, 2, 3], [2, 4, 5], [1, 0, 1]]),         # zero second pivot
+        Matrix.of(QQ, [[0, 2, "1/3"], ["-3/2", 1, 0], [5, 0, "7/4"]]),
+        Matrix.of(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]]),         # singular
+        Matrix.of(QQ, [["1/6", 0, 0], [0, "-1/10", 0], [0, 0, "1/15"]]),
+    ]
+    results = [check_closed_form(a) for a in cases]
+    assert [r is None for r in results] == [False, False, True, False, False, True,
+                                           False, False, False, True, False]
+    assert [r[1] for r in results if r] == [1, F(-3, 4), -2, F(5, 3), -30, -2, F(43, 12),
+                                           F(-1, 900)]
+    rng = random.Random("closed-form")
+    seen = set()
+    for trial in range(300):
+        n = trial % 4
+        a = rand_matrix(rng, n, n, bound=2)
+        res = check_closed_form(a)
+        seen.add((n, res is None, res is not None and res[1] < 0))
+    assert {(n, s, neg) for n in (1, 2, 3) for s, neg in ((True, False), (False, True),
+                                                          (False, False))} <= seen
+
+
+def test_amplified_matmul_matches_the_dense_product():
+    rng = random.Random("amplified")
+    for m, s, q in ((1, 3, 2), (2, 2, 4), (3, 1, 3), (2, 3, 0), (2, 0, 2), (0, 2, 2)):
+        x = rand_wide_matrix(rng, m, m)
+        y = rand_wide_matrix(rng, s * m, q)
+        want = Matrix.zeros(0, q) if not m else kron(Matrix.identity(s), x) @ y
+        assert amplified_matmul(x, y) == want
+    with pytest.raises(ValueError):
+        amplified_matmul(Matrix.identity(2), Matrix.identity(3))
 
 
 def test_qq_results_are_fractions():

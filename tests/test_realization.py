@@ -452,7 +452,7 @@ def test_hand_built_realizations_match_the_dense_pencil():
     assert singular
 
 
-def test_evaluation_solves_on_the_letter_coordinates_only(monkeypatch):
+def test_evaluation_solves_each_component_that_reads_itself(monkeypatch):
     shapes = []
     real_solve = mprat.realization.solve
 
@@ -464,8 +464,24 @@ def test_evaluation_solves_on_the_letter_coordinates_only(monkeypatch):
     rng = random.Random("re-solve-size")
     r = hand_built(rng)
     assert r.dim > r.rho == 3
-    for s in (1, 2):
-        size = s * r.m
-        shapes.clear()
-        assert isinstance(real_evaluate(r, [rand_matrix(rng, size) for _ in r.p]), Matrix)
-        assert shapes == [(r.rho * size, r.rho * size, r.rho * size, size)]
+    # in r, 1, 3 and 4 each read themselves and no two read each other both
+    # ways; adding (3, 4) closes the cycle 3 -> 4 -> 1 -> 3
+    ring = Realization(r.m, r.p, r.dim, r.c, r.b, r.letters,
+                       r.C | {(3, 4): rand_invertible(rng, r.m, 3)})
+    for real, comps in ((r, (1, 1, 1)), (ring, (3,))):
+        for s in (1, 2):
+            size = s * r.m
+            a = [rand_matrix(rng, size) for _ in r.p]
+            shapes.clear()
+            value = real_evaluate(real, a)
+            assert shapes == [(k * size, k * size, k * size, size) for k in comps]
+            assert isinstance(value, Matrix) and value.data == dense_pencil_value(real, a)
+    # an inverse-free expression has an acyclic pencil: nothing to solve
+    ab = Alphabet((2, 1))
+    e = parse("X1_1 * X2_1 * X1_2", ab)
+    free = realize(e, ab, rand_base(rng, ab, 2))
+    a = tuple(rand_matrix(rng, 4) for _ in free.p)
+    shapes.clear()
+    assert real_evaluate(free, a) == nc_evaluate(e, NcPoint(ab, a))
+    assert real_domain_contains(free, a)
+    assert shapes == []
