@@ -30,6 +30,11 @@ and the terms of a sum, are placed (``place``) into the union of their
 slots only; the root alone is placed into every slot.  At a point with a
 slot of size 0 every value, every inverse included, is the 0x0 matrix.
 
+Above CLOSED_FORM_MAX rows, where ``inv_det`` eliminates, the inverse of a
+sum with an inverse term inv(q) of matrix value is q inv(t q + 1), t the
+other terms and inv(q) the one of largest denominator: both sides are
+singular together, and the eliminated matrix lacks inv(q)'s denominator.
+
 Constants are applied as scalars.  A letter-free subtree (a ``Const``, or
 a ``Sum``, ``Product`` or ``Inverse`` of such) is memoized as its rational
 value c, a ``Fraction`` which stands for c * I; the inverse of c = 0 is
@@ -60,6 +65,7 @@ from .expression import (
     walk,
 )
 from .matrix_kernel import (
+    CLOSED_FORM_MAX,
     Matrix,
     inv_det,
     kron,
@@ -254,9 +260,31 @@ class Evaluator:
             # I_k (x) M is singular exactly when M is: k > 0, as run
             # returns early at a slot of size 0
             slots, m = v
+            if m.rows > CLOSED_FORM_MAX and isinstance(node.arg, Sum):
+                inner = [k for k in node.arg.terms
+                         if isinstance(k, Inverse) and isinstance(self.memo[k], tuple)]
+                if inner:
+                    return self._pushed_inverse(node.arg.terms, inner, slots)
             pair = inv_det(m)
             return None if pair is None else (slots, pair[0])
         raise TypeError(f"not an expression node: {type(node).__name__}")
+
+    def _pushed_inverse(self, terms, inner, slots):
+        """inv(t + inv(q)) on slots as q @ inv(t @ q + 1), or None when singular.
+
+        inv(q) is the inner inverse of largest denominator, the first on
+        ties, and t the other terms, with only that one copy of inv(q)
+        removed.  t + inv(q) = (t @ q + 1) @ inv(q) and q is invertible.
+        """
+        memo = self.memo
+        pick = max(inner, key=lambda k: memo[k][1].den)
+        rest = list(terms)
+        rest.remove(pick)
+        q = self._on(memo[pick.arg], slots)
+        t = self._combine(rest, self._sum, add, 0, Matrix.add_scalar)
+        tq = self._on(t, slots) @ q if isinstance(t, tuple) else q.scale(t)
+        pair = inv_det(tq.add_scalar(1))
+        return None if pair is None else (slots, q @ pair[0])
 
     def _combine(self, kids, join, scalar_op, unit, apply):
         """The kids' values joined by join, with the scalar values folded by

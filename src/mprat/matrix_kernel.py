@@ -560,7 +560,8 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
     return None if x is None else Matrix._raw(*x, b.cols)
 
 
-#: the largest size whose inverse ``inv_det`` takes from the adjugate
+#: the largest size whose inverse ``inv_det`` takes from the adjugate; the
+#: evaluator inverts a larger sum that holds an inverse through that inverse
 CLOSED_FORM_MAX = 3
 
 

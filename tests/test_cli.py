@@ -74,6 +74,18 @@ def test_eval_kronecker_product(tmp_path, capsys):
                               for i in range(6)]}
 
 
+def test_point_entries_take_every_exact_fraction_string(tmp_path, capsys):
+    # entries go through Fraction(str): decimals, exponents, digit
+    # underscores and surrounding spaces are all read exactly
+    expr = w(tmp_path, "e.expr", "X1_1")
+    point = wj(tmp_path, "p.json", {"dims": [3], "parts": [[[
+        "0.5", "1e5", "1_000", " 3 ", "-2/4", "1.5e-3", 7, "-0", "+4"]]]})
+    code, rep = jrun(capsys, "eval", "--alphabet", "1:1", "--expr", expr, "--point", point)
+    assert code == 0
+    assert rep["matrix"] == [["1/2", "100000", "1000"], ["3", "-1/2", "3/2000"],
+                             ["7", "0", "4"]]
+
+
 def test_eval_undefined_exit_3(tmp_path, capsys):
     from mprat.matrix_kernel import Matrix
     expr = w(tmp_path, "e.expr", "inv(X1_1)")

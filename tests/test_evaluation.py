@@ -33,6 +33,7 @@ from mprat.evaluation import (
     tau_point_of_nc,
 )
 from mprat.expression import Alphabet, Const, Inverse, Product, Sum, Var, parse
+from mprat.identity import TestConfig, sample_point
 from mprat.matrix_kernel import (
     MERSENNE61,
     QQ,
@@ -574,3 +575,66 @@ def test_letter_free_values_are_memoized_as_field_elements(name):
     node, value = LETTER_FREE[name]
     assert ev.run(node) == scalar_matrix(2, value)
     assert ev.memo[node] == value
+
+
+# -- the inverse of a sum holding an inverse --------------------------------------
+
+# above CLOSED_FORM_MAX rows, inv(t + inv(q)) is taken as q inv(t q + 1);
+# entries in [-1, 1] or [-2, 2] make some points singular
+PUSH_THROUGH_TEXTS = [
+    "inv(inv(X1_1) + inv(inv(X2_1) - X1_1))",
+    "inv(2 + inv(X1_1*X2_1))",
+    "inv(X2_1 + inv(X1_1))",
+    "inv(X1_1 + inv(X2_1) + inv(X1_1*X2_1 + 1))",
+    "inv(1 + inv(1 + inv(X1_1 + X2_1)))",
+    "inv(inv(X1_1) + inv(X1_1) + X2_1)",
+    "inv(inv(X1_1 + X2_1) + inv(X1_1 + X2_1))",
+]
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (1, 4), (3, 3)])
+@pytest.mark.parametrize("text", PUSH_THROUGH_TEXTS)
+def test_inverse_of_a_sum_with_an_inverse_matches_the_naive_evaluator(text, dims):
+    e = parse(text, AB11)
+    rng = random.Random(f"push-through {text} {dims}")
+    defined = 0
+    for i in range(8):
+        point = rand_mp_point(rng, AB11, dims, bound=1 + i % 2)
+        want = naive_mp_eval(e, point)
+        got = mp_evaluate(e, point)
+        if want is None:
+            assert isinstance(got, Undefined)
+        else:
+            assert assert_defined(got).data == want
+            defined += 1
+    assert defined
+
+
+def test_inverse_of_a_sum_with_an_inverse_names_the_failing_inverse():
+    e = parse("inv(X2_1 + inv(X1_1))", AB11)
+    eye = Matrix.identity(2)
+    # X1_1 is invertible and X1_1 + I is not, so I + inv(X1_1) is singular
+    v = mp_evaluate(e, point11(Matrix.of(QQ, [[-1, 1], [0, 2]]), eye))
+    assert isinstance(v, Undefined)
+    assert v.subexpr is e and v.path == ()
+    v = mp_evaluate(e, point11(E12, eye))
+    assert isinstance(v, Undefined)
+    assert v.subexpr is Inverse(Var(1, 1)) and v.path == (0, 1)
+
+
+def test_hua_inverse_of_a_sum_eliminates_no_large_denominator(monkeypatch):
+    # the outer inverse of Hua's left side at level 4 is 16x16; inverting
+    # the sum itself eliminates entries over a denominator of over 100 bits
+    e = parse("inv(inv(X1_1) + inv(inv(X2_1) - X1_1))", AB11)
+    point = sample_point(AB11, (4, 4), TestConfig(), 0)
+    seen = []
+
+    def recording(m):
+        seen.append(m)
+        return inv_det(m)
+
+    monkeypatch.setattr("mprat.evaluation.inv_det", recording)
+    value = assert_defined(mp_evaluate(e, point))
+    assert value.data == naive_mp_eval(e, point)
+    assert max(m.rows for m in seen) == 16
+    assert max(m.den.bit_length() for m in seen) <= 40

@@ -165,6 +165,16 @@ def test_equivalent_hua_identity():
     assert v.decided >= 16
 
 
+def test_equivalent_hua_identity_on_two_parts():
+    # the letters commute, and the inverses of sums above 3x3 are taken
+    # through the inverse in each sum
+    lhs = parse("inv(inv(X1_1) + inv(inv(X2_1) - X1_1))", AB11)
+    rhs = parse("X1_1 - X1_1 * X2_1 * X1_1", AB11)
+    v = equivalent(lhs, rhs, AB11)
+    assert isinstance(v, ProbablyZeroUpTo)
+    assert v.decided >= 16
+
+
 def test_equivalent_polynomials_is_exact():
     lhs = parse("(X1_1 + X1_2) * (X1_1 + X1_2)", AB1)
     rhs = parse("X1_1 * X1_1 + X1_1 * X1_2 + X1_2 * X1_1 + X1_2 * X1_2", AB1)
