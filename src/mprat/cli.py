@@ -91,7 +91,8 @@ def load_expr(path: str, alphabet: Alphabet):
 
 def _fraction(value, where: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise CliError(f"{where}: entries must be integers or 'p/q' strings")
+        raise CliError(f"{where}: entries must be integers or 'p/q' strings, "
+                       "or exact decimal strings like '0.5', '1e5' or '1_000'")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):

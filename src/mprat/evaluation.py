@@ -31,18 +31,14 @@ slots only; the root alone is placed into every slot.  At a point with a
 slot of size 0 every value, every inverse included, is the 0x0 matrix.
 
 Above CLOSED_FORM_MAX rows, where ``inv_det`` eliminates, the inverse of a
-sum with an inverse term inv(q) of matrix value is q inv(t q + 1), t the
+sum with an inverse term inv(q) on slots is q inv(t q + 1), t the
 other terms and inv(q) the one of largest denominator: both sides are
 singular together, and the eliminated matrix lacks inv(q)'s denominator.
 
-Constants are applied as scalars.  A letter-free subtree (a ``Const``, or
-a ``Sum``, ``Product`` or ``Inverse`` of such) is memoized as its rational
-value c, a ``Fraction`` which stands for c * I; the inverse of c = 0 is
-undefined.  The scalar children of a ``Product`` fold into one c that
-scales the product of the other factors once (not at all when c = 1); those
-of a ``Sum`` fold into one c added on the diagonal of the sum of the other
-terms (not at all when c = 0).  A scalar becomes a matrix only as the value
-of the root, c * I.
+A letter-free value touches no slots: it is the 1x1 matrix c on the empty
+product of slots, ((), [[c]]), standing for c * I.  In a product it is a
+Kronecker factor, which is a scaling; in a sum it goes on the diagonal of
+the other terms (``add_scalar``); its inverse is undefined when c = 0.
 """
 
 from __future__ import annotations
@@ -50,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from math import prod
-from operator import add, mul
+from operator import add
 
 from .expression import (
     Alphabet,
@@ -71,7 +67,6 @@ from .matrix_kernel import (
     kron,
     permute_kron_factors,
     place,
-    scalar_matrix,
     tau_embed,
 )
 
@@ -195,8 +190,7 @@ class Evaluator:
     Reusable across expressions over the same point: matrix_rational
     evaluates whole expression matrices, and every pivot test of one Schur
     recursion at one sample point, through one instance.  The memo maps
-    each node with a defined value to that value: a ``Fraction`` c standing
-    for c * I when the subtree has no letters, or a pair (slots, M) of the
+    each node with a defined value to that value, a pair (slots, M) of the
     sorted tensor slots its letters touch and a matrix M on them.  ``n`` is
     the size of a root value, the product of the slot sizes.
 
@@ -213,7 +207,7 @@ class Evaluator:
         self.slots = tuple(range(len(self.dims)))
         self.n = prod(self.dims)
         self.lookup = dict(zip(self.alphabet.letters(), values))
-        self.memo: dict[Expr, object] = {}
+        self.memo: dict[Expr, tuple[tuple[int, ...], Matrix]] = {}
 
     def run(self, e: Expr) -> Matrix | Undefined:
         """Value of e, or the Undefined of the first singular inverse in walk
@@ -238,31 +232,26 @@ class Evaluator:
                 validate_vars(e, self.alphabet)
                 return Undefined(node, _path_to(e, node))
             memo[node] = v
-        v = memo[e]
-        if isinstance(v, tuple):
-            return self._on(v, self.slots)
-        return scalar_matrix(self.n, v)
+        return self._on(memo[e], self.slots)
 
     def _value(self, node: Expr):
         # from the memoized values of the node's children
         if isinstance(node, Const):
-            return node.value
+            c = node.value
+            return (), Matrix._raw([[c.numerator]], c.denominator, 1)
         if isinstance(node, Var):
             return self.lookup[node]
         if isinstance(node, Sum):
-            return self._combine(node.terms, self._sum, add, 0, Matrix.add_scalar)
+            return self._sum(node.terms)
         if isinstance(node, Product):
-            return self._combine(node.factors, self._product, mul, 1, Matrix.scale)
+            return reduce(self._times, [self.memo[k] for k in node.factors])
         if isinstance(node, Inverse):
-            v = self.memo[node.arg]
-            if not isinstance(v, tuple):
-                return 1 / v if v else None
             # I_k (x) M is singular exactly when M is: k > 0, as run
             # returns early at a slot of size 0
-            slots, m = v
+            slots, m = self.memo[node.arg]
             if m.rows > CLOSED_FORM_MAX and isinstance(node.arg, Sum):
                 inner = [k for k in node.arg.terms
-                         if isinstance(k, Inverse) and isinstance(self.memo[k], tuple)]
+                         if isinstance(k, Inverse) and self.memo[k][0]]
                 if inner:
                     return self._pushed_inverse(node.arg.terms, inner, slots)
             pair = inv_det(m)
@@ -281,29 +270,9 @@ class Evaluator:
         rest = list(terms)
         rest.remove(pick)
         q = self._on(memo[pick.arg], slots)
-        t = self._combine(rest, self._sum, add, 0, Matrix.add_scalar)
-        tq = self._on(t, slots) @ q if isinstance(t, tuple) else q.scale(t)
+        _, tq = self._times(self._sum(rest), (slots, q))
         pair = inv_det(tq.add_scalar(1))
         return None if pair is None else (slots, q @ pair[0])
-
-    def _combine(self, kids, join, scalar_op, unit, apply):
-        """The kids' values joined by join, with the scalar values folded by
-        scalar_op into one scalar that apply puts on the matrix once; a
-        scalar when no kid has letters.
-
-        ``unit`` is the int 0 or 1, the identity of scalar_op; a ``Fraction``
-        compares with an int faster than with another ``Fraction``.
-        """
-        memo = self.memo
-        values = [memo[k] for k in kids]
-        mats = [v for v in values if isinstance(v, tuple)]
-        if len(mats) == len(values):
-            return join(mats)
-        c = reduce(scalar_op, [v for v in values if not isinstance(v, tuple)])
-        if not mats:
-            return c
-        slots, m = join(mats)
-        return (slots, m) if c == unit else (slots, apply(m, c))
 
     def _on(self, v, slots):
         # the matrix of the value v placed on slots, a superset of its own
@@ -312,22 +281,27 @@ class Evaluator:
             return m
         return place(m, [slots.index(s) for s in own], [self.dims[s] for s in slots])
 
-    def _sum(self, values):
-        slots = values[0][0]
-        if any(v[0] != slots for v in values):
-            slots = tuple(sorted({s for v in values for s in v[0]}))
-        return slots, reduce(add, [self._on(v, slots) for v in values])
-
-    def _product(self, values):
-        return reduce(self._times, values)
+    def _sum(self, terms):
+        # the terms on slots placed on their union and added, each term on
+        # no slots added on the diagonal (of the 1x1 zero if no term has slots)
+        values = [self.memo[k] for k in terms]
+        mats = [v for v in values if v[0]] or [((), Matrix.zeros(1, 1))]
+        slots = mats[0][0]
+        if any(v[0] != slots for v in mats):
+            slots = tuple(sorted({s for v in mats for s in v[0]}))
+        m = reduce(add, [self._on(v, slots) for v in mats])
+        for s, c in values:
+            if not s:
+                m = m.add_scalar(c.entry(0, 0))
+        return slots, m
 
     def _times(self, x, y):
         # values on disjoint slots commute: their product is a kron with its
-        # factors in slot order
+        # factors in slot order; a value on no slots scales the other
         (s, a), (t, b) = x, y
         if s == t:
             return s, a @ b
-        if s[-1] < t[0]:
+        if not s or not t or s[-1] < t[0]:
             return s + t, kron(a, b)
         if t[-1] < s[0]:
             return t + s, kron(b, a)

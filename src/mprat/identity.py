@@ -13,11 +13,12 @@ down (it exists at level ⌊d/2⌋+1 for maximal per-part degree d, since no
 product of fewer than 2n alternating factors vanishes identically on n-by-n
 matrices, and the parts separate into independent tensor slots).
 
-Expressions containing inverses go through _scan, shared by is_zero and
-equivalent.  A nonzero value at a defined point is a proof of nonzeroness;
-exhausting the budget only ever yields "probably zero up to this level",
-never a zero claim.  Undefined trials are skipped; when no trial is defined
-the first Undefined met is reported.
+Expressions containing inverses go through _scan.  equivalent is is_zero
+of e1 − e2, with an Undefined's path read from the side that holds it.  A
+nonzero value at a defined point is a proof of nonzeroness; exhausting the
+budget only ever yields "probably zero up to this level", never a zero
+claim.  Undefined trials are skipped; when no trial is defined the first
+Undefined met is reported.
 
 Determinant self-check: by the determinant criterion, a level at which the
 value is singular at every defined trial must have every value zero.  The
@@ -39,10 +40,12 @@ from .evaluation import MpPoint, Undefined, mp_evaluate
 from .expression import (
     Alphabet,
     Expr,
+    _path_to,
     expr_neg,
     expr_sum,
     inversion_height,
     poly_normal_form,
+    walk,
 )
 # det stays bound here for perfbench/tracing.py, which wraps it by name
 from .matrix_kernel import QQ, Matrix, _det_nonzero, det  # noqa: F401
@@ -117,16 +120,15 @@ def _points(alphabet: Alphabet, cfg: TestConfig, top: int):
             yield level, trial, sample_point(alphabet, dims, cfg, trial)
 
 
-def _scan(value_at, alphabet: Alphabet, cfg: TestConfig) -> ZeroVerdict:
-    # value_at(trial, a) is the Matrix or Undefined at the trial-th point a
-    # of its level.  The witness is the level's first nonzero value; the
-    # self-check (see the module docstring) needs one nonsingular value of
-    # the level, so the first one met ends the scan.
+def _scan(e: Expr, alphabet: Alphabet, cfg: TestConfig, evaluate) -> ZeroVerdict:
+    # evaluate as for _zero_test.  The witness is the level's first nonzero
+    # value; the self-check (see the module docstring) needs one nonsingular
+    # value of the level, so the first one met ends the scan.
     first_undef: Undefined | None = None
     decided = 0
     witness: NonzeroWitness | None = None
     for level, trial, a in _points(alphabet, cfg, cfg.max_level):
-        v = value_at(trial, a)
+        v = evaluate(e, trial, a)
         if isinstance(v, Undefined):
             if first_undef is None:
                 first_undef = v
@@ -195,7 +197,7 @@ def _zero_test(e: Expr, alphabet: Alphabet, cfg: TestConfig, evaluate) -> ZeroVe
             return ExactZero()
         degree = max(len(word) for mono in nf for word in mono)
         return _hunt_polynomial_witness(e, alphabet, cfg, degree // 2 + 1, evaluate)
-    return _scan(lambda trial, a: evaluate(e, trial, a), alphabet, cfg)
+    return _scan(e, alphabet, cfg, evaluate)
 
 
 def equivalent(e1: Expr, e2: Expr, alphabet: Alphabet,
@@ -203,21 +205,17 @@ def equivalent(e1: Expr, e2: Expr, alphabet: Alphabet,
     """Zero-test of e1 − e2 on the intersection of the two mp-domains.
 
     Trials where either side is undefined are skipped, not counted; when
-    both sides are, e1's Undefined is the one reported.  With two
-    inverse-free inputs the decision is exact via normal forms.
+    both sides are, e1's Undefined is the one reported, with its path from
+    the root of the side that holds it.  With two inverse-free inputs the
+    decision is exact via normal forms.
     """
-    cfg = cfg or TestConfig()
-    if inversion_height(e1) == 0 and inversion_height(e2) == 0:
-        return is_zero(expr_sum([e1, expr_neg(e2)]), alphabet, cfg)
-
-    def difference(trial: int, a: MpPoint) -> Matrix | Undefined:
-        v1 = mp_evaluate(e1, a)
-        if isinstance(v1, Undefined):
-            return v1
-        v2 = mp_evaluate(e2, a)
-        return v2 if isinstance(v2, Undefined) else v1 - v2
-
-    return _scan(difference, alphabet, cfg)
+    # e1's nodes come first in the difference's walk, and a node that fails
+    # while e1 is defined is not one of e1's
+    verdict = is_zero(expr_sum([e1, expr_neg(e2)]), alphabet, cfg)
+    if isinstance(verdict, NowhereDefined):
+        node = verdict.subexpr
+        return NowhereDefined(node, _path_to(e1 if node in walk(e1) else e2, node))
+    return verdict
 
 
 def domain_scan(e: Expr, alphabet: Alphabet, cfg: TestConfig | None = None):

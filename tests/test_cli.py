@@ -232,6 +232,11 @@ def test_nowhere_defined_verdict_exit_3(tmp_path, capsys):
                  ["equiv", "--alphabet", "1:1", nowhere, x],
                  ["equiv", "--alphabet", "1:1", x, nowhere]):
         assert run(capsys, *argv) == (3, want, "")
+    # equiv gives the path from the root of the side that holds the inverse
+    inner = w(tmp_path, "i.expr", "X1_1 * inv(X1_1 - X1_1)")
+    want = want.replace('"path":[]', '"path":[1]')
+    for sides in ([inner, x], [x, inner]):
+        assert run(capsys, "equiv", "--alphabet", "1:1", *sides) == (3, want, "")
 
 
 @pytest.mark.parametrize("text, path", [
@@ -355,6 +360,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
           "--point", pt({"dims": [1], "parts": [[[1.5]]]})], "integers or 'p/q' strings"),
         (["eval", "--alphabet", "1:1", "--expr", e,
           "--point", pt({"dims": [1], "parts": [[[True]]]})], "integers or 'p/q' strings"),
+        (["eval", "--alphabet", "1:1", "--expr", e,
+          "--point", pt({"dims": [1], "parts": [[[0.5]]]})], "like '0.5', '1e5' or '1_000'"),
         (["eval", "--alphabet", "1:1", "--expr", e,
           "--point", pt({"dims": [1], "parts": [[["1/0"]]]})], "not a rational: '1/0'"),
         (["eval", "--alphabet", "1:1", "--expr", e,

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -10,6 +11,7 @@ from helpers import (
     CORPUS_TEXTS,
     assert_defined,
     commuting_nc_point,
+    corpus,
     gen_expr,
     naive_mp_eval,
     rand_invertible,
@@ -459,7 +461,7 @@ def test_corpus_values_pass_the_mod_p_screen_like_their_exact_determinant(text):
     assert defined
 
 
-# -- constants applied as scalars ---------------------------------------------------
+# -- letter-free values: the 1x1 matrix on no slots ---------------------------------
 
 
 X, Y = Var(1, 1), Var(2, 1)
@@ -569,12 +571,34 @@ LETTER_FREE = {
 
 
 @pytest.mark.parametrize("name", list(LETTER_FREE))
-def test_letter_free_values_are_memoized_as_field_elements(name):
+def test_letter_free_values_are_memoized_as_1x1_matrices_on_no_slots(name):
     a = rand_invertible(random.Random("memo-const"), 2)
     ev = Evaluator(NcPoint(Alphabet((1,)), (a,)))
     node, value = LETTER_FREE[name]
     assert ev.run(node) == scalar_matrix(2, value)
-    assert ev.memo[node] == value
+    assert ev.memo[node] == ((), Matrix.of(QQ, [[value]]))
+
+
+def _assert_memo_is_slot_local(ev):
+    for v in ev.memo.values():
+        assert type(v) is tuple and len(v) == 2
+        slots, m = v
+        assert type(m) is Matrix
+        assert list(slots) == sorted(set(slots))
+        assert m.rows == m.cols == prod(ev.dims[s] for s in slots)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (0, 2)])
+def test_every_memo_value_is_a_matrix_on_its_sorted_slots(dims):
+    rng = random.Random(f"one kind {dims}")
+    for e in SCALAR_CASES.values():
+        ev = Evaluator(rand_mp_point(rng, AB11, dims, bound=6))
+        assert isinstance(ev.run(e), Matrix)
+        _assert_memo_is_slot_local(ev)
+    for e in corpus():
+        ev = Evaluator(rand_mp_point(rng, CORPUS_ALPHABET, dims, bound=6))
+        ev.run(e)
+        _assert_memo_is_slot_local(ev)
 
 
 # -- the inverse of a sum holding an inverse --------------------------------------

@@ -6,15 +6,17 @@ from fractions import Fraction
 import pytest
 
 from helpers import corpus, gen_expr, l_inv, naive_mp_eval
-from mprat.evaluation import mp_evaluate
+from mprat.evaluation import Undefined, mp_evaluate
 from mprat.expression import (
     Alphabet,
     Inverse,
     Product,
     Sum,
+    Var,
     inversion_height,
     parse,
     poly_normal_form,
+    subexpr_at,
 )
 from mprat.identity import (
     ExactZero,
@@ -231,14 +233,51 @@ NOWHERE = "inv(X1_1 * X2_1 - X2_1 * X1_1)"
 
 
 @pytest.mark.parametrize("undefined_side", ["lhs", "rhs"])
-def test_equivalent_reports_the_undefined_side(undefined_side):
-    bad = parse(f"X1_1 + {NOWHERE}", AB11)
+@pytest.mark.parametrize("text, path", [
+    (f"X1_1 + {NOWHERE}", (1,)),
+    ("X1_1 * inv(X1_1 - X1_1)", (1,)),
+    ("X2_1 + X1_1 * inv(X1_1 - X1_1)", (1, 1)),
+    ("inv(inv(X1_1 - X1_1) + X2_1) * 2", (0, 0, 0)),
+])
+def test_equivalent_reports_the_undefined_side(undefined_side, text, path):
+    # the path runs from the root of the side that holds the inverse
+    bad = parse(text, AB11)
     good = parse("inv(X1_1 + 3)", AB11)
     lhs, rhs = (bad, good) if undefined_side == "lhs" else (good, bad)
     v = equivalent(lhs, rhs, AB11, TestConfig(max_level=2, trials_per_level=2))
     assert isinstance(v, NowhereDefined)
-    assert v.path == (1,)
-    assert v.subexpr is bad.terms[1]
+    assert v.path == path
+    assert v.subexpr is subexpr_at(bad, path)
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    ("inv(X1_1) * X2_1", "X2_1 * inv(X1_1)"),
+    ("X1_1", "X1_1 + inv(X2_1) - inv(X2_1)"),
+    ("inv(X1_1 + X2_1) + inv(X2_1)", "inv(X2_1) + inv(X1_1 + X2_1)"),
+])
+def test_equivalent_decides_the_trials_where_both_sides_are_defined(lhs, rhs):
+    # the reference evaluates each side on its own, as two evaluators
+    e1, e2 = parse(lhs, AB11), parse(rhs, AB11)
+    cfg = TestConfig(max_level=3, trials_per_level=6, entry_bound=1)
+    decided = 0
+    for level in range(1, cfg.max_level + 1):
+        for trial in range(cfg.trials_per_level):
+            a = sample_point(AB11, (level, level), cfg, trial)
+            v1, v2 = mp_evaluate(e1, a), mp_evaluate(e2, a)
+            if not isinstance(v1, Undefined) and not isinstance(v2, Undefined):
+                assert v1 == v2
+                decided += 1
+    assert 0 < decided < cfg.max_level * cfg.trials_per_level
+    assert equivalent(e1, e2, AB11, cfg) == ProbablyZeroUpTo(
+        cfg.max_level, cfg.trials_per_level, decided)
+
+
+def test_equivalent_rejects_a_letter_outside_the_alphabet_on_either_side():
+    # also when the other side is undefined at every point
+    nowhere, stray = parse("inv(X1_1 - X1_1)", AB1), Var(2, 1)
+    for lhs, rhs in ((nowhere, stray), (stray, nowhere)):
+        with pytest.raises(ValueError, match="X2_1"):
+            equivalent(lhs, rhs, AB1, TestConfig(max_level=1, trials_per_level=1))
 
 
 def test_determinant_self_check_raises_on_singular_nonzero_values(monkeypatch):
