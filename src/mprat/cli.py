@@ -156,17 +156,55 @@ def dump_point(a: MpPoint) -> dict:
             "parts": [[matrix_flat(m) for m in mats] for mats in a.parts]}
 
 
+class Printed:
+    """Printed expression text, or rows of it, as a report value.  The
+    printer writes no character that JSON escapes, so _dumps writes the text
+    between quotes as it is; the wrapper copies none of it."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: str | list[list[str]]):
+        self.value = value
+
+
+def _dumps(report: dict) -> str:
+    """json.dumps(report, separators=(",", ":")), joined once from pieces,
+    for a report whose Printed values stand at its top level."""
+    out: list[str] = []
+    for key, value in report.items():
+        out += (",", json.dumps(key), ":")
+        if isinstance(value, Printed):
+            _quote(value.value, out)
+        else:
+            out.append(json.dumps(value, separators=(",", ":")))
+    out[:1] = ["{"]  # the first comma, if any, opens the object
+    out.append("}")
+    return "".join(out)
+
+
+def _quote(value: str | list, out: list[str]) -> None:
+    if isinstance(value, str):
+        out += ('"', value, '"')
+        return
+    out.append("[")
+    for i, item in enumerate(value):
+        if i:
+            out.append(",")
+        _quote(item, out)
+    out.append("]")
+
+
 def undefined_report(u: Undefined) -> dict:
     return {"status": "undefined",
             "path": list(u.path),
-            "subexpression": format_expr(u.subexpr)}
+            "subexpression": Printed(format_expr(u.subexpr))}
 
 
-def format_entries(m: ExprMatrix) -> list[list[str]]:
+def format_entries(m: ExprMatrix) -> Printed:
     """The printed entries of m, row by row, written through one memo: a
     subexpression shared by several entries is written once."""
     texts = iter(_format_roots([e for row in m.entries for e in row]))
-    return [[next(texts) for _ in row] for row in m.entries]
+    return Printed([[next(texts) for _ in row] for row in m.entries])
 
 
 def dump_realization(r: Realization) -> dict:
@@ -203,7 +241,7 @@ def verdict_report(v) -> tuple[dict, int]:
     if isinstance(v, NowhereDefined):
         return {"verdict": "nowhere-defined",
                 "path": list(v.path),
-                "subexpression": format_expr(v.subexpr)}, 3
+                "subexpression": Printed(format_expr(v.subexpr))}, 3
     raise TypeError(f"unknown verdict {type(v).__name__}")
 
 
@@ -248,7 +286,7 @@ def cmd_delta(ns) -> tuple[dict, int]:
         d = delta(ns.part, ns.index, e, alphabet)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    return {"expression": format_expr(d)}, 0
+    return {"expression": Printed(format_expr(d))}, 0
 
 
 def cmd_realize(ns) -> tuple[dict, int]:
@@ -468,7 +506,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         report, code = ns.handler(ns)
-        out = json.dumps(report, separators=(",", ":"))
+        out = _dumps(report)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

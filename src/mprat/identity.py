@@ -40,15 +40,15 @@ from .evaluation import MpPoint, Undefined, mp_evaluate
 from .expression import (
     Alphabet,
     Expr,
+    Inverse,
     _path_to,
     expr_neg,
     expr_sum,
-    inversion_height,
     poly_normal_form,
     walk,
 )
 # det stays bound here for perfbench/tracing.py, which wraps it by name
-from .matrix_kernel import QQ, Matrix, _det_nonzero, det  # noqa: F401
+from .matrix_kernel import Matrix, _det_nonzero, det  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,9 @@ def _sample(alphabet: Alphabet, dims, seed: int, trial: int, bound: int) -> MpPo
     parts = []
     for s, (part, _) in enumerate(alphabet.slots()):
         n = dims[s]
+        # integer rows over den 1 are canonical as drawn
         parts.append(tuple(
-            Matrix.from_flat(QQ, n, n, [rng.randint(-bound, bound) for _ in range(n * n)])
+            Matrix._raw([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)], 1, n)
             for _ in range(alphabet.size_of(part))))
     return MpPoint(alphabet, tuple(parts))
 
@@ -185,7 +186,7 @@ def _zero_test(e: Expr, alphabet: Alphabet, cfg: TestConfig, evaluate) -> ZeroVe
     a = sample_point(alphabet, a.dims, cfg, trial).  A caller may thus keep
     one evaluator per (dims, trial) across many zero tests with one
     alphabet and one cfg."""
-    if inversion_height(e) == 0:
+    if not any(isinstance(node, Inverse) for node in walk(e)):
         # the hunt's level 1, tried before the normal form: a witness there
         # is the hunt's witness, and the hunt re-scans it otherwise
         for level, trial, a in _points(alphabet, cfg, 1):

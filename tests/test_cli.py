@@ -23,8 +23,11 @@ def run(capsys, *argv):
 
 
 def jrun(capsys, *argv):
+    # every report is byte for byte what json.dumps makes of it
     code, out, _err = run(capsys, *argv)
-    return code, json.loads(out)
+    rep = json.loads(out)
+    assert out == json.dumps(rep, separators=(",", ":")) + "\n"
+    return code, rep
 
 
 def w(tmp_path, name, text):
@@ -125,6 +128,17 @@ def test_delta_output(tmp_path, capsys):
                      "--expr", expr, "--part", "1", "--index", "1")
     assert code == 0
     assert rep == {"expression": "X1_1' + X1_1"}
+
+
+def test_delta_with_inverses_and_fractions(tmp_path, capsys):
+    text = "inv(X1_1 - 1/2) * X1_2 * X1_1 - 3 * inv(X2_1 + X1_2)"
+    expr = w(tmp_path, "e.expr", text)
+    code, rep = jrun(capsys, "delta", "--alphabet", "2:2,1",
+                     "--expr", expr, "--part", "1", "--index", "2")
+    assert code == 0
+    alphabet = mprat.Alphabet((2, 1))
+    assert rep == {"expression": mprat.format_expr(
+        mprat.delta(1, 2, mprat.parse(text, alphabet), alphabet))}
 
 
 def test_realize_reports_dims(tmp_path, capsys):
@@ -280,6 +294,21 @@ def test_mat_inv_triangular(tmp_path, capsys):
     assert rep["entries"] == [["inv(X1_1)", "-inv(X1_1) * inv(X1_1)"],
                               ["0", "inv(X1_1)"]]
     assert [p["depth"] for p in rep["pivots"]] == [0, 1]
+
+
+def test_mat_inv_generic_d4(tmp_path, capsys):
+    rng = random.Random("cli-mat-inv")
+    rows = [[f"{rng.randint(-3, 3)} * X1_1 + {rng.randint(-3, 3)} * X1_2 + {rng.randint(1, 3)}"
+             for _ in range(4)] for _ in range(4)]
+    mat = wj(tmp_path, "m.json", {"entries": rows})
+    code, rep = jrun(capsys, "mat-inv", "--alphabet", "1:2", "--matrix", mat)
+    assert code == 0
+    assert rep["d"] == 4 and len(rep["pivots"]) == 4
+    alphabet = mprat.Alphabet((2,))
+    for row in rep["entries"]:
+        assert len(row) == 4
+        for text in row:
+            mprat.parse(text, alphabet)
 
 
 def test_mat_inv_singular(tmp_path, capsys):

@@ -30,6 +30,7 @@ from mprat.identity import (
     is_zero,
     sample_point,
 )
+from mprat.matrix_kernel import QQ, Matrix
 
 F = Fraction
 
@@ -55,6 +56,29 @@ def test_sample_point_deterministic():
     assert a == b
     assert a != sample_point(AB2, (2, 3), cfg, 6)
     assert a != sample_point(AB2, (2, 3), TestConfig(seed=43), 5)
+
+
+@pytest.mark.parametrize("alphabet,dims", [
+    (AB2, (2, 3)),
+    (AB1, (0,)),
+    (AB11.with_primed(1), (1, 3, 2)),
+    (Alphabet((2, 1), frozenset({2})), (3, 0, 2)),
+])
+def test_sample_point_is_the_from_flat_construction(alphabet, dims):
+    # the same randint calls, row-major, through the checked constructor
+    def reference(cfg, trial):
+        rng = random.Random(f"{cfg.seed}|{','.join(map(str, dims))}|{trial}")
+        return tuple(
+            tuple(Matrix.from_flat(QQ, n, n, [rng.randint(-cfg.entry_bound, cfg.entry_bound)
+                                              for _ in range(n * n)])
+                  for _ in range(alphabet.size_of(part)))
+            for n, (part, _) in zip(dims, alphabet.slots()))
+
+    for seed in (0, 1, 17):
+        for bound in (1, 10):
+            cfg = TestConfig(seed=seed, entry_bound=bound)
+            for trial in range(4):
+                assert sample_point(alphabet, dims, cfg, trial).parts == reference(cfg, trial)
 
 
 def test_sample_point_shapes_and_bound():

@@ -4,6 +4,7 @@ Development-only: skipped when hypothesis is not installed.  Every test is
 derandomized, so a run is as deterministic as the rest of the suite.
 """
 
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -30,6 +31,7 @@ from helpers import (  # noqa: E402
 from mprat.evaluation import Undefined, mp_evaluate  # noqa: E402
 from mprat.expression import (  # noqa: E402
     Alphabet,
+    _format_roots,
     Const,
     expr_neg,
     expr_product,
@@ -121,6 +123,14 @@ def test_structure_alone_decides_identity(e):
 @hypothesis.given(exprs)
 def test_format_of_a_dag_is_the_format_of_its_tree(e):
     assert format_expr(e) == naive_format(e)
+
+
+@SETTINGS
+@hypothesis.given(st.lists(expressions(AB3), min_size=1, max_size=4))
+def test_printed_text_needs_no_json_escaping(roots):
+    # the command line writes printed text between quotes as it is
+    for text in [format_expr(roots[0]), *_format_roots(roots)]:
+        assert json.dumps(text) == '"' + text + '"'
 
 
 # On AB3, values live on slot unions such as {0, 2}, and a product of
