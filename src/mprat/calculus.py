@@ -67,19 +67,18 @@ def delta(part: int, index: int, e: Expr, alphabet: Alphabet) -> Expr:
     e must be over the plain alphabet; the result is over
     alphabet.with_primed(part).
     """
-    if alphabet.primed_parts:
-        raise ValueError("delta expects an alphabet without primed parts")
     if not 1 <= part <= alphabet.parts:
         raise ValueError(f"part {part} out of range")
     g = alphabet.size_of(part)
     if not 1 <= index <= g:
         raise ValueError(f"index {index} out of range for part {part}")
-    return _delta(part, [int(j == index) for j in range(1, g + 1)], e, alphabet)
+    return directional_delta(part, [int(j == index) for j in range(1, g + 1)], e, alphabet)
 
 
 def directional_delta(part: int, v: Sequence, e: Expr, alphabet: Alphabet) -> Expr:
     """Sum of v[j-1] * delta(part, j, e) over the letters of the part, as
-    one fold: letter j differentiates to the constant v[j-1]."""
+    one fold: letter j differentiates to the constant v[j-1], every other
+    letter to 0."""
     if not 1 <= part <= alphabet.parts:
         raise ValueError(f"part {part} out of range")
     g = alphabet.size_of(part)
@@ -87,15 +86,9 @@ def directional_delta(part: int, v: Sequence, e: Expr, alphabet: Alphabet) -> Ex
         raise ValueError(f"direction vector needs {g} entries, got {len(v)}")
     if alphabet.primed_parts:
         raise ValueError("delta expects an alphabet without primed parts")
-    return _delta(part, v, e, alphabet)
-
-
-def _delta(part: int, coeff: Sequence, e: Expr, alphabet: Alphabet) -> Expr:
-    # the derivation of e over the plain alphabet that sends letter j of the
-    # part to the constant coeff[j-1] and every other letter to 0
     validate_vars(e, alphabet)
     zero = Const(0)
-    coeffs = [Const(c) for c in coeff]
+    coeffs = [Const(c) for c in v]
 
     def rule(node: Expr, kids: list[tuple[Expr, Expr]]) -> tuple[Expr, Expr]:
         # (primed copy of node, delta of node)

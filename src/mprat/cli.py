@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .calculus import delta
 from .evaluation import BfPoint, MpPoint, Undefined, bf_evaluate, mp_evaluate
-from .expression import Alphabet, _format_roots, format_expr, parse
+from .expression import Alphabet, _format_roots, _number_text, format_expr, parse
 from .identity import (
     ExactZero,
     NonzeroWitness,
@@ -77,7 +77,8 @@ def load_json(path: str):
     text = _read_text(path)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer past the digit limit
         raise CliError(f"{path}: invalid JSON: {exc}") from None
 
 
@@ -89,21 +90,42 @@ def load_expr(path: str, alphabet: Alphabet):
         raise CliError(f"{path}: {exc}") from None
 
 
+#: Largest |exponent| of a point entry like '1e5': Fraction expands the
+#: power of ten before anything else reads it, so 10 bytes could ask for
+#: millions of digits.  4300 is the interpreter's default integer digit limit.
+MAX_EXPONENT = 4300
+
+
 def _fraction(value, where: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise CliError(f"{where}: entries must be integers or 'p/q' strings, "
                        "or exact decimal strings like '0.5', '1e5' or '1_000'")
+    if isinstance(value, str):
+        _, e, exponent = value.lower().rpartition("e")
+        try:
+            too_big = bool(e) and abs(int(exponent)) > MAX_EXPONENT
+        except ValueError:
+            too_big = False  # not an exponent: Fraction says why
+        if too_big:
+            raise CliError(f"{where}: exponent beyond ±{MAX_EXPONENT}: {value!r}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise CliError(f"{where}: not a rational: {value!r}") from None
 
 
-def _matrix(entries, n: int, where: str) -> Matrix:
-    if not isinstance(entries, list) or len(entries) != n * n:
-        raise CliError(f"{where}: expected a flat row-major list of {n * n} entries")
-    vals = [_fraction(v, where) for v in entries]
-    return Matrix.from_flat(QQ, n, n, vals)
+def _matrices(mats, want: int, n: int, path: str, label: str) -> tuple[Matrix, ...]:
+    """A JSON list of want flat row-major n×n matrices; label names the list
+    in messages, as in "part 1" or "'b_inner'"."""
+    if not isinstance(mats, list) or len(mats) != want:
+        raise CliError(f"{path}: {label} needs {want} matrices")
+    where = f"{path} {label}"
+    out = []
+    for entries in mats:
+        if not isinstance(entries, list) or len(entries) != n * n:
+            raise CliError(f"{where}: expected a flat row-major list of {n * n} entries")
+        out.append(Matrix.from_flat(QQ, n, n, [_fraction(v, where) for v in entries]))
+    return tuple(out)
 
 
 def _point_doc(doc, path: str):
@@ -123,13 +145,8 @@ def load_point(path: str, alphabet: Alphabet) -> MpPoint:
     dims, parts = _point_doc(load_json(path), path)
     if len(parts) != alphabet.parts:
         raise CliError(f"{path}: alphabet has {alphabet.parts} parts, file has {len(parts)}")
-    out = []
-    for i, (n, mats) in enumerate(zip(dims, parts), start=1):
-        want = alphabet.size_of(i)
-        if not isinstance(mats, list) or len(mats) != want:
-            raise CliError(f"{path}: part {i} needs {want} matrices")
-        out.append(tuple(_matrix(m, n, f"{path} part {i}") for m in mats))
-    return MpPoint(alphabet, tuple(out))
+    return MpPoint(alphabet, tuple(_matrices(mats, alphabet.size_of(i), n, path, f"part {i}")
+                                   for i, (n, mats) in enumerate(zip(dims, parts), start=1)))
 
 
 def load_base_point(path: str, alphabet: Alphabet) -> list[Matrix]:
@@ -144,11 +161,11 @@ def load_base_point(path: str, alphabet: Alphabet) -> list[Matrix]:
 
 
 def matrix_rows(m: Matrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.data]
+    return [[_number_text(x) for x in row] for row in m.data]
 
 
 def matrix_flat(m: Matrix) -> list[str]:
-    return [str(x) for x in m.flat()]
+    return [_number_text(x) for x in m.flat()]
 
 
 def dump_point(a: MpPoint) -> dict:
@@ -194,10 +211,13 @@ def _quote(value: str | list, out: list[str]) -> None:
     out.append("]")
 
 
-def undefined_report(u: Undefined) -> dict:
-    return {"status": "undefined",
-            "path": list(u.path),
-            "subexpression": Printed(format_expr(u.subexpr))}
+def value_report(v: Matrix | Undefined) -> tuple[dict, int]:
+    """The report of a value at a point, or of where it is undefined (exit 3)."""
+    if isinstance(v, Undefined):
+        return {"status": "undefined",
+                "path": list(v.path),
+                "subexpression": Printed(format_expr(v.subexpr))}, 3
+    return {"status": "ok", "size": v.rows, "matrix": matrix_rows(v)}, 0
 
 
 def format_entries(m: ExprMatrix) -> Printed:
@@ -259,11 +279,7 @@ def build_config(ns) -> TestConfig:
 def cmd_eval(ns) -> tuple[dict, int]:
     alphabet = parse_alphabet(ns.alphabet)
     e = load_expr(ns.expr, alphabet)
-    a = load_point(ns.point, alphabet)
-    res = mp_evaluate(e, a)
-    if isinstance(res, Undefined):
-        return undefined_report(res), 3
-    return {"status": "ok", "size": res.rows, "matrix": matrix_rows(res)}, 0
+    return value_report(mp_evaluate(e, load_point(ns.point, alphabet)))
 
 
 def cmd_check_zero(ns) -> tuple[dict, int]:
@@ -296,7 +312,7 @@ def cmd_realize(ns) -> tuple[dict, int]:
     try:
         r = realize(e, alphabet, base)
     except BasePointOutsideDomain as exc:
-        return undefined_report(exc.undefined), 3
+        return value_report(exc.undefined)
     red = real_reduce(r)
     return {"m": r.m,
             "dim": r.dim,
@@ -313,18 +329,10 @@ def cmd_bf_eval(ns) -> tuple[dict, int]:
     n = doc["n"]
     if type(n) is not int or n < 1:
         raise CliError(f"{ns.point}: 'n' must be a positive integer")
-    fams = {}
-    for key in ("a_outer", "a_inner", "b_inner", "b_outer"):
-        mats = doc.get(key)
-        if not isinstance(mats, list) or len(mats) != ns.g:
-            raise CliError(f"{ns.point}: '{key}' needs {ns.g} matrices")
-        fams[key] = tuple(_matrix(m, n, f"{ns.point} {key}") for m in mats)
-    p = BfPoint(ns.g, n, fams["a_outer"], fams["a_inner"], fams["b_inner"], fams["b_outer"])
+    p = BfPoint(ns.g, n, *(_matrices(doc.get(key), ns.g, n, ns.point, f"'{key}'")
+                           for key in ("a_outer", "a_inner", "b_inner", "b_outer")))
     e = load_expr(ns.expr, Alphabet((ns.g, ns.g)))
-    res = bf_evaluate(e, p)
-    if isinstance(res, Undefined):
-        return undefined_report(res), 3
-    return {"status": "ok", "size": res.rows, "matrix": matrix_rows(res)}, 0
+    return value_report(bf_evaluate(e, p))
 
 
 def cmd_domain_scan(ns) -> tuple[dict, int]:
@@ -385,11 +393,7 @@ def cmd_partial_eval(ns) -> tuple[dict, int]:
     if len(parts) != 1:
         raise CliError(f"{ns.point}: partial evaluation takes a one-part point file "
                        "(matrices for part 1 only)")
-    d = dims[0]
-    want = alphabet.size_of(1)
-    if not isinstance(parts[0], list) or len(parts[0]) != want:
-        raise CliError(f"{ns.point}: part 1 needs {want} matrices")
-    a1 = tuple(_matrix(m, d, f"{ns.point} part 1") for m in parts[0])
+    a1 = _matrices(parts[0], alphabet.size_of(1), dims[0], ns.point, "part 1")
     try:
         s = partial_evaluate(e, alphabet, a1, build_config(ns))
     except PartialUndefined as exc:

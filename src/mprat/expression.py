@@ -35,6 +35,7 @@ import threading
 import weakref
 from collections import Counter
 from dataclasses import dataclass, fields
+from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -341,15 +342,19 @@ def validate_vars(e: Expr, alphabet: Alphabet) -> None:
 def _validate_nodes(nodes: Iterable[Expr], alphabet: Alphabet) -> None:
     # validate_vars over the given nodes: the first misfit met is reported
     for node in nodes:
-        if isinstance(node, Var):
-            if not 1 <= node.part <= alphabet.parts:
-                raise ValueError(f"variable X{node.part}_{node.index}: alphabet has "
-                                 f"{alphabet.parts} parts")
-            if not 1 <= node.index <= alphabet.size_of(node.part):
-                raise ValueError(f"variable index out of range: part {node.part} has "
-                                 f"{alphabet.size_of(node.part)} letters")
-            if node.primed and node.part not in alphabet.primed_parts:
-                raise ValueError(f"part {node.part} has no primed letters here")
+        if isinstance(node, Var) and (why := _misfit(node, alphabet)):
+            raise ValueError(why)
+
+
+def _misfit(v: Var, alphabet: Alphabet) -> str | None:
+    """Why the letter v does not fit the alphabet, or None if it does."""
+    if not 1 <= v.part <= alphabet.parts:
+        return f"unknown variable {format_expr(v)}: alphabet has {alphabet.parts} parts"
+    if not 1 <= v.index <= alphabet.size_of(v.part):
+        return f"index out of range: part {v.part} has {alphabet.size_of(v.part)} letters"
+    if v.primed and v.part not in alphabet.primed_parts:
+        return f"part {v.part} has no primed letters in this alphabet"
+    return None
 
 
 # -- parsing --------------------------------------------------------------------
@@ -365,7 +370,7 @@ class ExprSyntaxError(ValueError):
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
-  | (?P<var>X(?P<part>\d+)_(?P<index>\d+)(?P<prime>')?)
+  | (?P<var>X\d+_\d+'?)
   | (?P<int>\d+)
   | (?P<inv>inv\b)
   | (?P<op>[+\-*/()])
@@ -394,21 +399,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 def _got(kind: str, val: str) -> str:
     return repr(val) if kind != "eof" else "end of input"
-
-
-def _variable(text: str, pos: int, a: Alphabet) -> Var:
-    m = _TOKEN_RE.match(text)
-    part = int(m.group("part"))
-    index = int(m.group("index"))
-    primed = m.group("prime") is not None
-    if not 1 <= part <= a.parts:
-        raise ExprSyntaxError(f"unknown variable {text}: alphabet has {a.parts} parts", pos)
-    if not 1 <= index <= a.size_of(part):
-        raise ExprSyntaxError(f"index out of range: part {part} has "
-                              f"{a.size_of(part)} letters", pos)
-    if primed and part not in a.primed_parts:
-        raise ExprSyntaxError(f"part {part} has no primed letters in this alphabet", pos)
-    return Var(part, index, primed)
 
 
 def parse(text: str, alphabet: Alphabet) -> Expr:
@@ -443,7 +433,10 @@ def parse(text: str, alphabet: Alphabet) -> Expr:
                 factor = Const(factor.value / int(val))
                 k += 2
         elif kind == "var":
-            factor = _variable(val, pos, alphabet)
+            part, index = val[1:].rstrip("'").split("_")
+            factor = Var(int(part), int(index), val.endswith("'"))
+            if why := _misfit(factor, alphabet):
+                raise ExprSyntaxError(why, pos)
             k += 1
         elif kind == "inv" or val == "(":
             is_inv = kind == "inv"
@@ -488,6 +481,17 @@ def parse(text: str, alphabet: Alphabet) -> Expr:
 
 
 # -- formatting -------------------------------------------------------------------
+
+
+def _number_text(x: Fraction) -> str:
+    """str(x), also for a numerator or denominator longer than the integer
+    digit limit (sys.get_int_max_str_digits), which str refuses: Decimal
+    writes an integer of any size.  The limit itself stays, for input."""
+    try:
+        return str(x)
+    except ValueError:
+        num = str(Decimal(x.numerator))
+        return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 def _split_negative(e: Expr) -> Expr | None:
@@ -547,7 +551,7 @@ def _write(e: Expr, memo: dict[Expr, str]) -> str:
         elif (text := memo.get(item)) is not None:
             write(text)
         elif isinstance(item, Const):
-            write(str(item.value))
+            write(_number_text(item.value))
         elif isinstance(item, Var):
             write(f"X{item.part}_{item.index}" + ("'" if item.primed else ""))
         elif isinstance(item, Inverse):

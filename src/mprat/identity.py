@@ -113,9 +113,9 @@ def sample_point(alphabet: Alphabet, dims, cfg: TestConfig, trial: int) -> MpPoi
     return _sample(alphabet, dims, cfg.seed, trial, cfg.entry_bound)
 
 
-def _points(alphabet: Alphabet, cfg: TestConfig, top: int):
-    """Yield (level, trial, point) over square levels 1..top, trials in order."""
-    for level in range(1, top + 1):
+def _points(alphabet: Alphabet, cfg: TestConfig, top: int, first: int = 1):
+    """Yield (level, trial, point) over square levels first..top, trials in order."""
+    for level in range(first, top + 1):
         dims = (level,) * len(alphabet.slots())
         for trial in range(cfg.trials_per_level):
             yield level, trial, sample_point(alphabet, dims, cfg, trial)
@@ -152,9 +152,11 @@ def _scan(e: Expr, alphabet: Alphabet, cfg: TestConfig, evaluate) -> ZeroVerdict
 
 
 def _hunt_polynomial_witness(e: Expr, alphabet: Alphabet, cfg: TestConfig,
-                             guarantee_level: int, evaluate) -> NonzeroWitness:
+                             guarantee_level: int, evaluate, *,
+                             first_level: int) -> NonzeroWitness:
+    # the sample points from first_level up, then wider entry ranges
     top = max(cfg.max_level, guarantee_level)
-    for level, trial, a in _points(alphabet, cfg, top):
+    for level, trial, a in _points(alphabet, cfg, top, first_level):
         v = evaluate(e, trial, a)
         if not v.is_zero():
             return NonzeroWitness(a, v, level, trial)
@@ -188,7 +190,7 @@ def _zero_test(e: Expr, alphabet: Alphabet, cfg: TestConfig, evaluate) -> ZeroVe
     alphabet and one cfg."""
     if not any(isinstance(node, Inverse) for node in walk(e)):
         # the hunt's level 1, tried before the normal form: a witness there
-        # is the hunt's witness, and the hunt re-scans it otherwise
+        # is the hunt's witness, and the hunt goes on from level 2 otherwise
         for level, trial, a in _points(alphabet, cfg, 1):
             v = evaluate(e, trial, a)
             if not v.is_zero():
@@ -197,7 +199,8 @@ def _zero_test(e: Expr, alphabet: Alphabet, cfg: TestConfig, evaluate) -> ZeroVe
         if not nf:
             return ExactZero()
         degree = max(len(word) for mono in nf for word in mono)
-        return _hunt_polynomial_witness(e, alphabet, cfg, degree // 2 + 1, evaluate)
+        return _hunt_polynomial_witness(e, alphabet, cfg, degree // 2 + 1, evaluate,
+                                        first_level=2)
     return _scan(e, alphabet, cfg, evaluate)
 
 

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import mprat
@@ -87,6 +88,50 @@ def test_point_entries_take_every_exact_fraction_string(tmp_path, capsys):
     assert code == 0
     assert rep["matrix"] == [["1/2", "100000", "1000"], ["3", "-1/2", "3/2000"],
                              ["7", "0", "4"]]
+
+
+def test_point_entry_exponents_stop_at_the_digit_limit(tmp_path, capsys):
+    # Fraction would expand 10^|exponent| first, so the bound is checked on
+    # the string; the largest exponents still read exactly
+    expr = w(tmp_path, "e.expr", "X1_1")
+    for entry, want in (("1e4300", "1" + "0" * 4300), ("-1E-4_300", "-1/1" + "0" * 4300)):
+        point = wj(tmp_path, "p.json", {"dims": [1], "parts": [[[entry]]]})
+        assert jrun(capsys, "eval", "--alphabet", "1:1", "--expr", expr, "--point", point) == (
+            0, {"status": "ok", "size": 1, "matrix": [[want]]})
+    for entry in ("1e4301", "1e-4301", "0e10000000"):
+        point = wj(tmp_path, "p.json", {"dims": [1], "parts": [[[entry]]]})
+        code, out, err = run(capsys, "eval", "--alphabet", "1:1", "--expr", expr, "--point", point)
+        assert (code, out) == (2, "")
+        assert err == f"error: {point} part 1: exponent beyond ±4300: {entry!r}\n"
+
+
+def test_values_past_the_integer_digit_limit_print_exactly(tmp_path, capsys):
+    # str() of an integer refuses more than 4300 digits; the reports do not.
+    # (10^4000 - 1)^2 = 9…98 0…01, 8000 digits
+    nines = "9" * 4000
+    c = "9" * 3999 + "8" + "0" * 3999 + "1"
+    expr = w(tmp_path, "e.expr", f"X1_1 * {nines} * {nines}")
+    one = wj(tmp_path, "p.json", {"dims": [1], "parts": [[["1"]]]})
+    matrix = wj(tmp_path, "m.json", {"entries": [[f"X1_1 * {nines} * {nines}"]]})
+    assert jrun(capsys, "eval", "--alphabet", "1:1", "--expr", expr, "--point", one) == (
+        0, {"status": "ok", "size": 1, "matrix": [[c]]})
+    assert jrun(capsys, "delta", "--alphabet", "1:1", "--expr", expr,
+                "--part", "1", "--index", "1") == (0, {"expression": c})
+    code, rep = jrun(capsys, "check-zero", "--alphabet", "1:1", "--expr", expr)
+    assert (code, rep["point"]["parts"], rep["value"]) == (1, [[["1"]]], [[c]])
+    code, rep = jrun(capsys, "mat-inv", "--alphabet", "1:1", "--matrix", matrix)
+    assert (code, rep["entries"]) == (0, [[f"inv(X1_1 * {c})"]])
+    # a nested continued fraction at 1: numerator and denominator of about
+    # 4600 digits, p/q -> q/(99q + p) at each level
+    depth = 2300
+    expr = w(tmp_path, "cf.expr", "inv(99 + " * depth + "X1_1" + ")" * depth)
+    code, rep = jrun(capsys, "eval", "--alphabet", "1:1", "--expr", expr, "--point", one)
+    num, den = rep["matrix"][0][0].split("/")
+    p = q = 1
+    for _ in range(depth):
+        p, q = q, 99 * q + p
+    assert code == 0 and num.isdigit() and den.isdigit() and len(num) > 4500
+    assert (int(Decimal(num)), int(Decimal(den))) == (p, q)
 
 
 def test_eval_undefined_exit_3(tmp_path, capsys):
@@ -395,6 +440,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
           "--point", pt({"dims": [1], "parts": [[["1/0"]]]})], "not a rational: '1/0'"),
         (["eval", "--alphabet", "1:1", "--expr", e,
           "--point", pt({"dims": [2], "parts": [[["1"]]]})], "list of 4 entries"),
+        (["eval", "--alphabet", "1:1", "--expr", e,
+          "--point", pt({"dims": [1], "parts": [[["1e5000"]]]})], "exponent beyond ±4300"),
+        (["eval", "--alphabet", "1:1", "--expr", e,
+          "--point", w(tmp_path, "big.json", '{"dims": [1], "parts": [[[' + "1" * 5000 + "]]]}")],
+         "invalid JSON"),
         (["eval", "--alphabet", "1:1", "--expr", e, "--point", pt({"dims": [1]})],
          "need 'dims' and 'parts' keys"),
         (["eval", "--alphabet", "1:1", "--expr", e, "--point", pt({"dims": 1, "parts": 1})],

@@ -24,6 +24,7 @@ from mprat.identity import (
     NowhereDefined,
     ProbablyZeroUpTo,
     TestConfig,
+    _hunt_polynomial_witness,
     _zero_test,
     domain_scan,
     equivalent,
@@ -376,6 +377,19 @@ def test_polynomial_level_1_witness_needs_no_normal_form(monkeypatch):
     v = is_zero(e, ab)
     assert isinstance(v, NonzeroWitness) and v.level == 1
     assert mp_evaluate(e, v.point) == v.value
+
+
+def test_polynomial_hunt_evaluates_each_point_once():
+    # the level-1 points are all zero and tried before the normal form; the
+    # hunt goes on from level 2 and finds the same witness as a hunt from 1
+    cfg = TestConfig()
+    e = parse("X1_1 * X1_2 - X1_2 * X1_1", AB1)
+    calls = []
+    v = _zero_test(e, AB1, cfg, _counting_evaluate(calls))
+    assert isinstance(v, NonzeroWitness) and v.level == 2
+    assert calls == ([((1,), t) for t in range(cfg.trials_per_level)]
+                     + [((2,), t) for t in range(v.trial + 1)])
+    assert v == _hunt_polynomial_witness(e, AB1, cfg, 2, _counting_evaluate([]), first_level=1)
 
 
 # -- an independent full-level scan as the oracle ---------------------------------

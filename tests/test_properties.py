@@ -1,4 +1,4 @@
-"""Property tests of the expression core and the rational kernel.
+"""Property tests of the expression core, the rational kernel and the builders.
 
 Development-only: skipped when hypothesis is not installed.  Every test is
 derandomized, so a run is as deterministic as the rest of the suite.
@@ -28,7 +28,8 @@ from helpers import (  # noqa: E402
     rand_mp_point,
     unshare,
 )
-from mprat.evaluation import Undefined, mp_evaluate  # noqa: E402
+from mprat.calculus import verify_fund  # noqa: E402
+from mprat.evaluation import MpPoint, Undefined, UndefinedError, mp_evaluate  # noqa: E402
 from mprat.expression import (  # noqa: E402
     Alphabet,
     _format_roots,
@@ -55,6 +56,14 @@ from mprat.matrix_kernel import (  # noqa: E402
     inv_det,
     kron,
     solve,
+)
+from mprat.matrix_rational import (  # noqa: E402
+    ExprMatrix,
+    NotInvertible,
+    PartialUndefined,
+    matrix_inverse_expr,
+    matrix_mp_evaluate,
+    partial_evaluate,
 )
 from mprat.realization import (  # noqa: E402
     PencilSingular,
@@ -95,12 +104,12 @@ def slot_products(alphabet):
         expr_product)
 
 
-def expressions(alphabet):
+def expressions(alphabet, max_leaves=12):
     letters = st.sampled_from(alphabet.letters())
     # a product of two letters starts out on up to two tensor slots
     pairs = st.lists(letters, min_size=2, max_size=2).map(expr_product)
     leaves = st.one_of(letters, consts, pairs, slot_products(alphabet))
-    return st.recursive(leaves, _grow, max_leaves=12)
+    return st.recursive(leaves, _grow, max_leaves=max_leaves)
 
 
 exprs = expressions(AB)
@@ -207,8 +216,10 @@ def test_inverse_free_zero_test_matches_the_normal_form_first_route(e):
         want = ExactZero()
     else:
         degree = max(len(word) for mono in nf for word in mono)
+        # the oracle hunts from level 1, so it also covers the level-1
+        # points that is_zero tries before the normal form
         want = _hunt_polynomial_witness(e, AB, cfg, degree // 2 + 1,
-                                        lambda x, trial, a: mp_evaluate(x, a))
+                                        lambda x, trial, a: mp_evaluate(x, a), first_level=1)
     assert is_zero(e, AB, cfg) == want
 
 
@@ -325,3 +336,67 @@ def test_integer_rows_over_one_denominator_match_the_list_reference(n, m, k, dat
     assert (a + b) - b == a
     assert (a == b) == (a.data == b.data)
     assert (a.scale(c) == a) == (a.data == [[c * x for x in row] for row in a_rows])
+
+
+# -- the builders against evaluation --------------------------------------------
+
+
+AB21 = Alphabet((2, 1))
+# the pivot searches of the Schur inverses a builder takes
+BUILDER_CFG = TestConfig(max_level=2, trials_per_level=3)
+
+
+@SETTINGS
+@hypothesis.given(expressions(AB21), st.sampled_from([(1, 1, 1), (2, 1, 1), (1, 2, 2), (2, 2, 1)]),
+                  st.integers(0, 2 ** 32))
+def test_fund_block_identity_holds_wherever_it_is_defined(e, sizes, seed):
+    # sizes (m', m, n) of the two part-1 tuples and of part 2; the corner of
+    # the block value is directional_delta's expression at (a', a, rest)
+    mp, m, n = sizes
+    rng = random.Random(seed)
+    a_prime = tuple(rand_matrix(rng, mp, 3) for _ in range(2))
+    a = tuple(rand_matrix(rng, m, 3) for _ in range(2))
+    v = (Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3), 2))
+    rest = ((rand_matrix(rng, n, 3),),)
+    try:
+        holds = verify_fund(e, a_prime, a, v, rest, AB21)
+    except UndefinedError:
+        return
+    assert holds is True
+
+
+@SETTINGS
+@hypothesis.given(exprs, st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]), st.integers(0, 2 ** 32))
+def test_partial_evaluation_matches_evaluation_at_the_joined_point(e, sizes, seed):
+    # d x d part-1 matrices, then n x n part-2 matrices: the blocks of the
+    # partial value are the blocks of the full one
+    d, n = sizes
+    rng = random.Random(seed)
+    a1 = tuple(rand_matrix(rng, d, 3) for _ in range(2))
+    try:
+        s = partial_evaluate(e, AB, a1, BUILDER_CFG)
+    except PartialUndefined:
+        return
+    c = tuple(rand_matrix(rng, n, 3) for _ in range(2))
+    part = matrix_mp_evaluate(s, MpPoint(s.alphabet, (c,)))
+    full = mp_evaluate(e, MpPoint(AB, (a1, c)))
+    if not isinstance(part, Undefined) and not isinstance(full, Undefined):
+        assert part == full
+
+
+@SETTINGS
+@hypothesis.given(st.lists(expressions(AB, max_leaves=4), min_size=4, max_size=4),
+                  st.integers(0, 2 ** 32))
+def test_schur_inverse_times_the_matrix_is_the_identity(entries, seed):
+    m = ExprMatrix(AB, (tuple(entries[:2]), tuple(entries[2:])))
+    try:
+        inv = matrix_inverse_expr(m, BUILDER_CFG).matrix
+    except NotInvertible:
+        return
+    rng = random.Random(seed)
+    for dims in [(1, 1), (2, 1), (1, 2)]:
+        a = rand_mp_point(rng, AB, dims, bound=3)
+        mv, nv = matrix_mp_evaluate(m, a), matrix_mp_evaluate(inv, a)
+        if not isinstance(mv, Undefined) and not isinstance(nv, Undefined):
+            eye = Matrix.identity(mv.rows)
+            assert mv @ nv == eye and nv @ mv == eye
