@@ -16,7 +16,6 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .calculus import delta
 from .evaluation import BfPoint, MpPoint, Undefined, bf_evaluate, mp_evaluate
@@ -68,7 +67,8 @@ def parse_alphabet(text: str) -> Alphabet:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as f:  # not pathlib, which interns each part of the path
+            return f.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
 
@@ -82,12 +82,15 @@ def load_json(path: str):
         raise CliError(f"{path}: invalid JSON: {exc}") from None
 
 
-def load_expr(path: str, alphabet: Alphabet):
-    text = _read_text(path)
+def _parse_at(text: str, alphabet: Alphabet, where: str):
     try:
         return parse(text, alphabet)
     except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from None
+        raise CliError(f"{where}: {exc}") from None
+
+
+def load_expr(path: str, alphabet: Alphabet):
+    return _parse_at(_read_text(path), alphabet, path)
 
 
 #: Largest |exponent| of a point entry like '1e5': Fraction expands the
@@ -184,9 +187,9 @@ class Printed:
         self.value = value
 
 
-def _dumps(report: dict) -> str:
-    """json.dumps(report, separators=(",", ":")), joined once from pieces,
-    for a report whose Printed values stand at its top level."""
+def _dumps(report: dict) -> list[str]:
+    """json.dumps(report, separators=(",", ":")) and a newline, as unjoined
+    pieces, for a report whose Printed values stand at its top level."""
     out: list[str] = []
     for key, value in report.items():
         out += (",", json.dumps(key), ":")
@@ -195,8 +198,8 @@ def _dumps(report: dict) -> str:
         else:
             out.append(json.dumps(value, separators=(",", ":")))
     out[:1] = ["{"]  # the first comma, if any, opens the object
-    out.append("}")
-    return "".join(out)
+    out.append("}\n")
+    return out
 
 
 def _quote(value: str | list, out: list[str]) -> None:
@@ -361,10 +364,7 @@ def cmd_mat_inv(ns) -> tuple[dict, int]:
     def entry(text, i, j):
         if not isinstance(text, str):
             raise CliError(f"{ns.matrix}: entry ({i},{j}) must be an expression string")
-        try:
-            return parse(text, alphabet)
-        except ValueError as exc:
-            raise CliError(f"{ns.matrix} entry ({i},{j}): {exc}") from None
+        return _parse_at(text, alphabet, f"{ns.matrix} entry ({i},{j})")
     try:
         m = ExprMatrix(alphabet, tuple(
             tuple(entry(t, i, j) for j, t in enumerate(row))
@@ -510,7 +510,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         report, code = ns.handler(ns)
-        out = _dumps(report)
+        pieces = _dumps(report)  # whole before any of it is written
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -518,7 +518,7 @@ def main(argv=None) -> int:
         detail = " ".join(str(exc).split())
         print(f"error: internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 4
-    print(out)
+    sys.stdout.writelines(pieces)
     return code
 
 

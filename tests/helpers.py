@@ -9,7 +9,7 @@ themselves.
 from fractions import Fraction
 from math import prod
 
-from mprat.evaluation import MpPoint, NcPoint, Undefined
+from mprat.evaluation import BfPoint, MpPoint, NcPoint, Undefined
 from mprat.expression import Alphabet, Const, Expr, Inverse, Product, Sum, Var, parse
 from mprat.matrix_kernel import QQ, Matrix, inv_det
 
@@ -221,18 +221,35 @@ def naive_nc_eval(e, assign, n):
     raise TypeError(type(e).__name__)
 
 
+def l_embed(m: Matrix, pre: int, post: int):
+    """I_pre (x) m (x) I_post as lists."""
+    return l_kron(l_kron(l_eye(pre), [list(map(F, r)) for r in m.data]), l_eye(post))
+
+
 def naive_mp_eval(e, point: MpPoint):
     """Independent mp-evaluation: own tau embedding, own arithmetic."""
     dims = point.dims
     n = prod(dims)
     assign = {}
     for s, ((part, primed), mats) in enumerate(zip(point.alphabet.slots(), point.parts)):
-        pre = prod(dims[:s])
-        post = prod(dims[s + 1:])
         for j, m in enumerate(mats, start=1):
-            img = l_kron(l_kron(l_eye(pre), [list(map(F, r)) for r in m.data]), l_eye(post))
-            assign[(part, j, primed)] = img
+            assign[(part, j, primed)] = l_embed(m, prod(dims[:s]), prod(dims[s + 1:]))
     return naive_nc_eval(e, assign, n)
+
+
+def naive_bf_eval(e, p: BfPoint):
+    """Independent bf-evaluation on n^(g+2) rows: X_i is the product of
+    a_outer[i] embedded in slot 1 and a_inner[i] in slot 1+i, Y_i that of
+    b_inner[i] in slot 1+i and b_outer[i] in the last slot g+2."""
+    slots = p.g + 2
+
+    def tau(slot, m):
+        return l_embed(m, p.n ** (slot - 1), p.n ** (slots - slot))
+    assign = {}
+    for i in range(p.g):
+        assign[(1, i + 1, False)] = l_mul(tau(1, p.a_outer[i]), tau(2 + i, p.a_inner[i]))
+        assign[(2, i + 1, False)] = l_mul(tau(2 + i, p.b_inner[i]), tau(slots, p.b_outer[i]))
+    return naive_nc_eval(e, assign, p.n ** slots)
 
 
 def as_matrix(lists):

@@ -1,5 +1,6 @@
 """End-to-end command line checks: pinned outputs, exit codes, round trips."""
 
+import dataclasses
 import json
 import os
 import random
@@ -323,6 +324,25 @@ def test_module_entry_points_agree(tmp_path):
         (3, '{"verdict":"nowhere-defined","path":[],"subexpression":"inv(X1_1 - X1_1)"}\n')] * 2
 
 
+def generic_matrix(tmp_path, d):
+    rng = random.Random("cli-mat-inv")
+    rows = [[f"{rng.randint(-3, 3)} * X1_1 + {rng.randint(-3, 3)} * X1_2 + {rng.randint(1, 3)}"
+             for _ in range(d)] for _ in range(d)]
+    return wj(tmp_path, "m.json", {"entries": rows})
+
+
+def test_real_stdout_writes_the_in_process_bytes(tmp_path, capsys):
+    # a report of many pieces, some large, through the interpreter's own
+    # stdout rather than a capture buffer
+    argv = ["mat-inv", "--alphabet", "1:2", "--matrix", generic_matrix(tmp_path, 4)]
+    env = {**os.environ, "PYTHONPATH": str(Path(mprat.__file__).parent.parent)}
+    child = subprocess.run([sys.executable, "-m", "mprat", *argv], capture_output=True, env=env)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert len(out) > 100_000
+    assert (child.returncode, child.stdout, child.stderr) == (0, out.encode(), b"")
+
+
 def test_bf_eval_undefined_exit_3(tmp_path, capsys):
     point = wj(tmp_path, "bf.json", {"n": 1, "a_outer": [["0"]], "a_inner": [["1"]],
                                      "b_inner": [["1"]], "b_outer": [["1"]]})
@@ -342,10 +362,7 @@ def test_mat_inv_triangular(tmp_path, capsys):
 
 
 def test_mat_inv_generic_d4(tmp_path, capsys):
-    rng = random.Random("cli-mat-inv")
-    rows = [[f"{rng.randint(-3, 3)} * X1_1 + {rng.randint(-3, 3)} * X1_2 + {rng.randint(1, 3)}"
-             for _ in range(4)] for _ in range(4)]
-    mat = wj(tmp_path, "m.json", {"entries": rows})
+    mat = generic_matrix(tmp_path, 4)
     code, rep = jrun(capsys, "mat-inv", "--alphabet", "1:2", "--matrix", mat)
     assert code == 0
     assert rep["d"] == 4 and len(rep["pivots"]) == 4
@@ -430,6 +447,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (["check-zero", "--alphabet", "1", "--expr", e], "must look like G:g1,g2"),
         (["check-zero", "--alphabet", "1:x", "--expr", e], "must list integers"),
         (["check-zero", "--alphabet", "1:0", "--expr", e], "at least one letter"),
+        # a path is opened as given: a file name with a trailing slash is no file
+        (["check-zero", "--alphabet", "1:1", "--expr", e + "/"], f"cannot read {e}/"),
         (["eval", "--alphabet", "1:1", "--expr", e,
           "--point", pt({"dims": [1], "parts": [[[1.5]]]})], "integers or 'p/q' strings"),
         (["eval", "--alphabet", "1:1", "--expr", e,
@@ -498,6 +517,24 @@ def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_report_that_fails_to_serialise_prints_nothing(tmp_path, capsys, monkeypatch):
+    # the printed "entries" come before "pivots", whose level here is no
+    # JSON value: none of the report may reach stdout ahead of the failure
+    real = mprat.cli.matrix_inverse_expr
+
+    def unserialisable(*args):
+        res = real(*args)
+        first = res.pivots[0]
+        bad = dataclasses.replace(first, witness=dataclasses.replace(first.witness,
+                                                                     level=object()))
+        return dataclasses.replace(res, pivots=(bad, *res.pivots[1:]))
+    monkeypatch.setattr("mprat.cli.matrix_inverse_expr", unserialisable)
+    mat = wj(tmp_path, "m.json", {"entries": [["X1_1", "1"], ["0", "X1_1"]]})
+    code, out, err = run(capsys, "mat-inv", "--alphabet", "1:1", "--matrix", mat)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal error: TypeError: ") and err.count("\n") == 1
 
 
 def test_deeply_nested_input_gets_a_verdict(tmp_path, capsys):

@@ -21,6 +21,7 @@ from helpers import (  # noqa: E402
     l_mul,
     l_scalar,
     laplace_det,
+    naive_bf_eval,
     naive_mp_eval,
     naive_nc_eval,
     rand_matrix,
@@ -29,7 +30,15 @@ from helpers import (  # noqa: E402
     unshare,
 )
 from mprat.calculus import verify_fund  # noqa: E402
-from mprat.evaluation import MpPoint, Undefined, UndefinedError, mp_evaluate  # noqa: E402
+from mprat.evaluation import (  # noqa: E402
+    BfPoint,
+    MpPoint,
+    Undefined,
+    UndefinedError,
+    bf_evaluate,
+    mp_evaluate,
+    tau_point,
+)
 from mprat.expression import (  # noqa: E402
     Alphabet,
     _format_roots,
@@ -66,6 +75,7 @@ from mprat.matrix_rational import (  # noqa: E402
     partial_evaluate,
 )
 from mprat.realization import (  # noqa: E402
+    BasePointOutsideDomain,
     PencilSingular,
     real_domain_contains,
     real_evaluate,
@@ -400,3 +410,46 @@ def test_schur_inverse_times_the_matrix_is_the_identity(entries, seed):
         if not isinstance(mv, Undefined) and not isinstance(nv, Undefined):
             eye = Matrix.identity(mv.rows)
             assert mv @ nv == eye and nv @ mv == eye
+
+
+# bf points on g = 1 and g = 2 letters a family; n = 2 comes first, since
+# a Kronecker factor swapped between slots moves entries only when n > 1
+BF_EXPRS = {1: expressions(Alphabet((1, 1))), 2: exprs}
+
+
+@SETTINGS
+@hypothesis.given(st.data(), st.sampled_from([(1, 2), (2, 2), (2, 1), (1, 1)]),
+                  st.integers(0, 2 ** 32))
+def test_bf_evaluate_matches_the_naive_evaluator(data, sizes, seed):
+    g, n = sizes
+    e = data.draw(BF_EXPRS[g])
+    rng = random.Random(seed)
+    p = BfPoint(g, n, *(tuple(rand_matrix(rng, n, 3) for _ in range(g)) for _ in range(4)))
+    got = bf_evaluate(e, p)
+    want = naive_bf_eval(e, p)
+    if want is None:
+        assert isinstance(got, Undefined)
+    else:
+        assert not isinstance(got, Undefined)
+        assert got.data == want
+
+
+@SETTINGS
+@hypothesis.given(exprs, st.sampled_from([(2, 2), (1, 2), (2, 1)]), st.integers(0, 2 ** 32))
+def test_realization_on_two_parts_matches_evaluation_at_tau_embedded_points(e, dims, seed):
+    # a pencil about a 2x2 base point takes the n1*n2 x n1*n2 letters of
+    # tau_point(a), so n1*n2 is even; bases where e is undefined are skipped
+    rng = random.Random(seed)
+    for _ in range(4):
+        try:
+            r = realize(e, AB, [rand_matrix(rng, 2, 3) for _ in AB.letters()])
+            break
+        except BasePointOutsideDomain:
+            pass
+    else:
+        return
+    a = rand_mp_point(rng, AB, dims, bound=3)
+    value = real_evaluate(r, tau_point(a).mats)
+    want = mp_evaluate(e, a)
+    if not isinstance(value, PencilSingular) and not isinstance(want, Undefined):
+        assert value == want
