@@ -30,10 +30,21 @@ and the terms of a sum, are placed (``place``) into the union of their
 slots only; the root alone is placed into every slot.  At a point with a
 slot of size 0 every value, every inverse included, is the 0x0 matrix.
 
-Above CLOSED_FORM_MAX rows, where ``inv_det`` eliminates, the inverse of a
-sum with an inverse term inv(q) on slots is q inv(t q + 1), t the
-other terms and inv(q) the one of largest denominator: both sides are
-singular together, and the eliminated matrix lacks inv(q)'s denominator.
+Above CLOSED_FORM_MAX rows, where ``inv_det`` eliminates, an inverse is
+not formed when it is evaluated: its memo entry is deferred, and holds the
+matrix A it inverts.  A product of it with a value B on the same slots is
+one elimination, inv(A) B = solve(A, B) and B inv(A) = solve(A^T, B^T)^T;
+every other reader forms inv(A) once with ``inv_det``, and the formed
+value replaces the entry.  The inverse of a sum with an inverse term
+inv(q) on slots is q inv(t q + 1), taken by the same solve, t the other
+terms and inv(q) the one of largest denominator: both sides are singular
+together, and the eliminated matrix lacks inv(q)'s denominator.
+
+A deferred inverse is found singular only where it is read, after
+inverses that come later in walk order may have run.  So once a run
+finds a singular inverse, each deferred entry ahead of it that no solve
+has shown invertible is tested with ``_det_nonzero``, the earliest
+singular one is reported, and every such entry is dropped from the memo.
 
 A letter-free value touches no slots: it is the 1x1 matrix c on the empty
 product of slots, ((), [[c]]), standing for c * I.  In a product it is a
@@ -63,10 +74,12 @@ from .expression import (
 from .matrix_kernel import (
     CLOSED_FORM_MAX,
     Matrix,
+    _det_nonzero,
     inv_det,
     kron,
     permute_kron_factors,
     place,
+    solve,
     tau_embed,
 )
 
@@ -184,6 +197,20 @@ def _slot_letters(point: NcPoint | MpPoint | BfPoint):
     return Alphabet((g, g)), (point.n,) * (g + 2), xs + ys
 
 
+class _Deferred:
+    """The inverse of the matrix ``a`` at the Inverse node ``node``, not
+    formed; ``checked`` once a solve with ``a`` has shown it invertible."""
+
+    __slots__ = ("node", "a", "checked")
+
+    def __init__(self, node: Expr, a: Matrix):
+        self.node, self.a, self.checked = node, a, False
+
+
+class _Singular(Exception):
+    """Raised with the Inverse node whose argument was found singular."""
+
+
 class Evaluator:
     """Bottom-up evaluator over one point, memoizing shared subtrees.
 
@@ -191,14 +218,16 @@ class Evaluator:
     evaluates whole expression matrices, and every pivot test of one Schur
     recursion at one sample point, through one instance.  The memo maps
     each node with a defined value to that value, a pair (slots, M) of the
-    sorted tensor slots its letters touch and a matrix M on them.  ``n`` is
-    the size of a root value, the product of the slot sizes.
+    sorted tensor slots its letters touch and a matrix M on them, or, for
+    an inverse above CLOSED_FORM_MAX rows, a ``_Deferred`` M.  ``_on`` is
+    the one reader that forms a deferred M; only ``_times`` solves with
+    one.  ``n`` is the size of a root value, the product of the slot sizes.
 
     A run does not enter a memoized subtree.  Values are stored children
     first and a run stops at its first singular inverse, which is not
-    stored, so every node below a memoized one is memoized too.  The first
-    Undefined a run meets, with its path, is then the one a full walk would
-    meet.
+    stored, and drops every deferred entry not shown invertible, so every
+    node below a memoized one is memoized and defined.  The first Undefined
+    a run meets, with its path, is then the one a full walk would meet.
     """
 
     def __init__(self, point: NcPoint | MpPoint | BfPoint):
@@ -207,7 +236,7 @@ class Evaluator:
         self.slots = tuple(range(len(self.dims)))
         self.n = prod(self.dims)
         self.lookup = dict(zip(self.alphabet.letters(), values))
-        self.memo: dict[Expr, tuple[tuple[int, ...], Matrix]] = {}
+        self.memo: dict[Expr, tuple[tuple[int, ...], Matrix | _Deferred]] = {}
 
     def run(self, e: Expr) -> Matrix | Undefined:
         """Value of e, or the Undefined of the first singular inverse in walk
@@ -222,17 +251,34 @@ class Evaluator:
             validate_vars(e, self.alphabet)
             return Matrix.zeros(0, 0)
         memo = self.memo
-        for node in walk(e, skip=memo):
-            try:
-                v = self._value(node)
-            except KeyError:  # a letter missing from the point
-                validate_vars(e, self.alphabet)
-                raise
-            if v is None:
-                validate_vars(e, self.alphabet)
-                return Undefined(node, _path_to(e, node))
-            memo[node] = v
-        return self._on(memo[e], self.slots)
+        try:
+            for node in walk(e, skip=memo):
+                memo[node] = self._value(node)
+            return self._on(memo[e], self.slots)
+        except KeyError:  # a letter missing from the point
+            self._drop_unchecked()
+            validate_vars(e, self.alphabet)
+            raise
+        except _Singular as found:
+            node = found.args[0]
+            # a deferred inverse ahead of node may be singular too
+            for k, a in self._drop_unchecked():
+                if k is node:
+                    break
+                if not _det_nonzero(a):
+                    node = k
+                    break
+            validate_vars(e, self.alphabet)
+            return Undefined(node, _path_to(e, node))
+
+    def _drop_unchecked(self):
+        # the deferred entries no solve has shown invertible, as (node,
+        # matrix it inverts) in walk order, taken out of the memo
+        memo = self.memo
+        out = [(k, m.a) for k, (_, m) in memo.items() if type(m) is _Deferred and not m.checked]
+        for k, _ in out:
+            del memo[k]
+        return out
 
     def _value(self, node: Expr):
         # from the memoized values of the node's children
@@ -248,35 +294,49 @@ class Evaluator:
         if isinstance(node, Inverse):
             # I_k (x) M is singular exactly when M is: k > 0, as run
             # returns early at a slot of size 0
-            slots, m = self.memo[node.arg]
-            if m.rows > CLOSED_FORM_MAX and isinstance(node.arg, Sum):
+            v = self.memo[node.arg]
+            slots = v[0]
+            m = self._on(v, slots)
+            if m.rows <= CLOSED_FORM_MAX:
+                pair = inv_det(m)
+                if pair is None:
+                    raise _Singular(node)
+                return slots, pair[0]
+            if isinstance(node.arg, Sum):
                 inner = [k for k in node.arg.terms
                          if isinstance(k, Inverse) and self.memo[k][0]]
                 if inner:
-                    return self._pushed_inverse(node.arg.terms, inner, slots)
-            pair = inv_det(m)
-            return None if pair is None else (slots, pair[0])
+                    return self._pushed_inverse(node, inner, slots)
+            return slots, _Deferred(node, m)
         raise TypeError(f"not an expression node: {type(node).__name__}")
 
-    def _pushed_inverse(self, terms, inner, slots):
-        """inv(t + inv(q)) on slots as q @ inv(t @ q + 1), or None when singular.
+    def _pushed_inverse(self, node, inner, slots):
+        """node = inv(t + inv(q)) on slots as q @ inv(t @ q + 1), one solve.
 
         inv(q) is the inner inverse of largest denominator, the first on
         ties, and t the other terms, with only that one copy of inv(q)
         removed.  t + inv(q) = (t @ q + 1) @ inv(q) and q is invertible.
         """
         memo = self.memo
-        pick = max(inner, key=lambda k: memo[k][1].den)
-        rest = list(terms)
+        pick = max(inner, key=lambda k: self._on(memo[k], slots).den)
+        rest = list(node.arg.terms)
         rest.remove(pick)
         q = self._on(memo[pick.arg], slots)
         _, tq = self._times(self._sum(rest), (slots, q))
-        pair = inv_det(tq.add_scalar(1))
-        return None if pair is None else (slots, q @ pair[0])
+        return self._times((slots, q), (slots, _Deferred(node, tq.add_scalar(1))))
 
     def _on(self, v, slots):
-        # the matrix of the value v placed on slots, a superset of its own
+        # the matrix of the value v placed on slots, a superset of its own;
+        # a deferred inverse is formed once and replaces its memo entry
         own, m = v
+        if type(m) is _Deferred:
+            own, m = self.memo[m.node]  # formed already through another copy?
+            if type(m) is _Deferred:
+                pair = inv_det(m.a)
+                if pair is None:
+                    raise _Singular(m.node)
+                self.memo[m.node] = own, pair[0]
+                m = pair[0]
         if own == slots:
             return m
         return place(m, [slots.index(s) for s in own], [self.dims[s] for s in slots])
@@ -297,10 +357,16 @@ class Evaluator:
 
     def _times(self, x, y):
         # values on disjoint slots commute: their product is a kron with its
-        # factors in slot order; a value on no slots scales the other
+        # factors in slot order; a value on no slots scales the other.  A
+        # deferred inverse times a value on its slots is one solve.
         (s, a), (t, b) = x, y
         if s == t:
+            if type(a) is _Deferred:
+                return s, self._solve(a, a.a, self._on(y, s))
+            if type(b) is _Deferred:
+                return s, self._solve(b, b.a.transpose(), a.transpose()).transpose()
             return s, a @ b
+        a, b = self._on(x, s), self._on(y, t)
         if not s or not t or s[-1] < t[0]:
             return s + t, kron(a, b)
         if t[-1] < s[0]:
@@ -311,7 +377,16 @@ class Evaluator:
             return slots, permute_kron_factors(kron(a, b), [order.index(u) + 1 for u in slots],
                                                [self.dims[u] for u in order])
         slots = tuple(sorted({*s, *t}))
-        return slots, self._on(x, slots) @ self._on(y, slots)
+        return slots, self._on((s, a), slots) @ self._on((t, b), slots)
+
+    @staticmethod
+    def _solve(d: _Deferred, a: Matrix, b: Matrix) -> Matrix:
+        # x with a @ x = b, a being d's matrix or its transpose
+        x = solve(a, b)
+        if x is None:
+            raise _Singular(d.node)
+        d.checked = True
+        return x
 
 
 def nc_evaluate(e: Expr, point: NcPoint) -> Matrix | Undefined:

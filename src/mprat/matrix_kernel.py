@@ -17,7 +17,8 @@ Fractions exist only at the boundary: ``_lift`` turns them into
 (num, den), ``_value`` turns entries back for ``data``, ``entry`` and
 ``flat``.  Sums, products, scalings and Kronecker products compute on the
 integers and call ``_normalise`` once (a gcd pass); transposes and slot
-embeddings only move entries.
+embeddings only move entries, and an integer added on the diagonal and a
+1x1 inverse are canonical already.
 
 The one elimination is ``_solve_det(a, b) -> ((num, den) | None, det)``,
 which solves ``A X = B`` and returns det A on the way; ``det`` and ``solve``
@@ -242,7 +243,11 @@ class Matrix:
                               self.den * c.denominator, self.cols)
 
     def add_scalar(self, c) -> "Matrix":
-        """self + c * I for a square matrix and a ``Fraction`` or int c."""
+        """self + c * I for a square matrix and a ``Fraction`` or int c.
+
+        An integer c adds multiples of ``den``, which leaves gcd(den,
+        entries) at 1, so that result needs no gcd pass.
+        """
         if not self.is_square():
             raise ValueError(f"cannot add a scalar to a {self.rows}x{self.cols} matrix")
         p, q = c.numerator, c.denominator
@@ -251,6 +256,8 @@ class Matrix:
         num = [[f * k for k in row] for row in self.num]
         for i, row in enumerate(num):
             row[i] += diag
+        if q == 1:
+            return Matrix._raw(num, den, self.cols)
         return Matrix._normal(num, den, self.cols)
 
     def transpose(self) -> "Matrix":
@@ -566,10 +573,10 @@ CLOSED_FORM_MAX = 3
 
 
 def _adjugate(num: list[list[int]]):
-    """(adj N, det N) of an integer matrix of size at most CLOSED_FORM_MAX."""
+    """(adj N, det N) of an integer matrix of size 0, 2 or 3."""
     n = len(num)
-    if n < 2:
-        return [[1]] * n, num[0][0] if n else 1
+    if not n:
+        return [], 1
     if n == 2:
         (a, b), (c, d) = num
         return [[d, -b], [-c, a]], a * d - b * c
@@ -584,7 +591,8 @@ def inv_det(a: Matrix):
     """(A^{-1}, det A) for invertible A, or None when A is singular.
 
     Up to CLOSED_FORM_MAX rows, with A = N / den and dn = det N, the inverse
-    is den * adj N / dn and det A = dn / den^n; larger sizes eliminate.
+    is den * adj N / dn and det A = dn / den^n; larger sizes eliminate.  A
+    1x1 inverse is den / dn, coprime already, so it needs no gcd pass.
     """
     if not a.is_square():
         raise ValueError("inverse of a non-square matrix")
@@ -592,6 +600,12 @@ def inv_det(a: Matrix):
     if n > CLOSED_FORM_MAX:
         x, d = _solve_det(a, Matrix.identity(n))
         return None if x is None else (Matrix._raw(*x, n), d)
+    if n == 1:
+        (dn,), = a.num
+        if dn == 0:
+            return None
+        den = a.den
+        return Matrix._raw([[den if dn > 0 else -den]], abs(dn), 1), Fraction(dn, den)
     adj, dn = _adjugate(a.num)
     if dn == 0:
         return None

@@ -146,8 +146,17 @@ def l_add(a, b):
 
 
 def l_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    # row by row; a zero entry of a, as in the I (x) m (x) I embeddings,
+    # adds nothing and is skipped
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [F(0)] * width
+        for x, brow in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append(acc)
+    return out
 
 
 def l_kron(a, b):

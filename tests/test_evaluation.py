@@ -26,6 +26,7 @@ from mprat.evaluation import (
     MpPoint,
     NcPoint,
     Undefined,
+    _Deferred,
     bf_evaluate,
     check_multipartite_tuple,
     ell_collapse,
@@ -34,7 +35,7 @@ from mprat.evaluation import (
     tau_point,
     tau_point_of_nc,
 )
-from mprat.expression import Alphabet, Const, Inverse, Product, Sum, Var, parse
+from mprat.expression import Alphabet, Const, Inverse, Product, Sum, Var, _path_to, parse, walk
 from mprat.identity import TestConfig, sample_point
 from mprat.matrix_kernel import (
     MERSENNE61,
@@ -47,6 +48,7 @@ from mprat.matrix_kernel import (
     inv_det,
     kron,
     scalar_matrix,
+    solve,
     tau_embed,
 )
 
@@ -580,9 +582,13 @@ def test_letter_free_values_are_memoized_as_1x1_matrices_on_no_slots(name):
 
 
 def _assert_memo_is_slot_local(ev):
+    # a deferred inverse stays memoized only once a solve has shown it defined
     for v in ev.memo.values():
         assert type(v) is tuple and len(v) == 2
         slots, m = v
+        if type(m) is _Deferred:
+            assert m.checked
+            m = m.a
         assert type(m) is Matrix
         assert list(slots) == sorted(set(slots))
         assert m.rows == m.cols == prod(ev.dims[s] for s in slots)
@@ -648,17 +654,110 @@ def test_inverse_of_a_sum_with_an_inverse_names_the_failing_inverse():
 
 def test_hua_inverse_of_a_sum_eliminates_no_large_denominator(monkeypatch):
     # the outer inverse of Hua's left side at level 4 is 16x16; inverting
-    # the sum itself eliminates entries over a denominator of over 100 bits
+    # the sum itself eliminates entries over a denominator of over 100 bits.
+    # Every elimination the evaluator runs, through inv_det or solve, is
+    # recorded by its coefficient matrix.
     e = parse("inv(inv(X1_1) + inv(inv(X2_1) - X1_1))", AB11)
     point = sample_point(AB11, (4, 4), TestConfig(), 0)
     seen = []
 
-    def recording(m):
+    def recording_inv_det(m):
         seen.append(m)
         return inv_det(m)
 
-    monkeypatch.setattr("mprat.evaluation.inv_det", recording)
+    def recording_solve(a, b):
+        seen.append(a)
+        return solve(a, b)
+
+    monkeypatch.setattr("mprat.evaluation.inv_det", recording_inv_det)
+    monkeypatch.setattr("mprat.evaluation.solve", recording_solve)
     value = assert_defined(mp_evaluate(e, point))
     assert value.data == naive_mp_eval(e, point)
     assert max(m.rows for m in seen) == 16
     assert max(m.den.bit_length() for m in seen) <= 40
+
+
+# -- deferred inverses ----------------------------------------------------------------
+
+# x and y are on both slots, so 4x4 or larger at every dims below: inv(x)
+# is deferred, and a product of it with y or x is one solve
+DEFERRED_TEXTS = [t.format(x="(X1_1*X2_1 + X2_1)", y="(X1_1 - X2_1*X2_1)") for t in [
+    "inv({x})*{y}",
+    "{y}*inv({x})",
+    "inv({x})*{x}",
+    "inv({x})*{y}*inv({x})",
+    "inv(inv({x}))",
+]]
+
+
+def _first_singular_inverse(e, point):
+    # the first Inverse in walk order that the naive evaluator finds undefined
+    return next(k for k in walk(e) if isinstance(k, Inverse) and naive_mp_eval(k, point) is None)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (1, 4)])
+@pytest.mark.parametrize("text", DEFERRED_TEXTS)
+def test_deferred_inverses_match_the_naive_evaluator(text, dims):
+    e = parse(text, AB11)
+    rng = random.Random(f"deferred {text} {dims}")
+    undefined = []
+    for i in range(10):
+        point = rand_mp_point(rng, AB11, dims, bound=1 + i % 2)
+        want = naive_mp_eval(e, point)
+        got = mp_evaluate(e, point)
+        if want is None:
+            bad = _first_singular_inverse(e, point)
+            assert isinstance(got, Undefined)
+            assert got.subexpr is bad and got.path == _path_to(e, bad)
+        else:
+            assert assert_defined(got).data == want
+        undefined.append(want is None)
+    assert any(undefined) and not all(undefined)
+
+
+# X2_1 is singular, so the 4x4 X1_1*X2_1 is too
+WALK_ORDER_POINT = point11(Matrix.of(QQ, [[1, 2], [3, 5]]), Matrix.of(QQ, [[1, 1], [1, 1]]))
+
+
+def test_a_deferred_singular_inverse_is_reported_ahead_of_a_later_eager_one():
+    # inv(X2_1) is 2x2, inverted where it is met and found singular first;
+    # the deferred inv(X1_1*X2_1) comes first in walk order, and is reported
+    deferred = parse("inv(X1_1*X2_1)", AB11)
+    e = parse("inv(X1_1*X2_1) * (X1_1*X2_1 + inv(X2_1))", AB11)
+    v = mp_evaluate(e, WALK_ORDER_POINT)
+    assert isinstance(v, Undefined)
+    assert v.subexpr is deferred and v.path == (0,)
+    # here the product forms the deferred inverse before inv(X2_1) is met
+    e = parse("inv(X1_1*X2_1)*X1_1 + inv(X2_1)", AB11)
+    v = mp_evaluate(e, WALK_ORDER_POINT)
+    assert isinstance(v, Undefined)
+    assert v.subexpr is deferred and v.path == (0, 0)
+
+
+@pytest.mark.parametrize("x2", [[[1, 1], [1, 1]], [[1, 1], [0, 2]]],
+                         ids=["deferred singular", "deferred invertible"])
+def test_a_reused_evaluator_after_an_undefined_matches_fresh_evaluations(x2):
+    # the first run ends in an Undefined while inv(X1_1*X2_1) is deferred;
+    # the later runs share that node.  At the second point only
+    # inv(X2_1 - 1) is singular.
+    point = point11(Matrix.of(QQ, [[1, 2], [3, 5]]), Matrix.of(QQ, x2))
+    texts = ["inv(X1_1*X2_1) * (X1_1*X2_1 + inv(X2_1 - 1))",
+             "(X1_1*X2_1 + X1_1) * inv(X1_1*X2_1)",
+             "inv(X1_1*X2_1) * (X1_1 - X2_1)",
+             "X1_1 + inv(X1_1*X2_1) * X2_1",
+             "inv(X1_1*X2_1) + X2_1",
+             "X1_1*X2_1 + X1_1"]
+    ev = Evaluator(point)
+    got = []
+    for text in texts:
+        e = parse(text, AB11)
+        v, want = ev.run(e), Evaluator(point).run(e)
+        if isinstance(want, Undefined):
+            assert isinstance(v, Undefined)
+            assert (v.subexpr, v.path) == (want.subexpr, want.path)
+        else:
+            assert v == want
+        _assert_memo_is_slot_local(ev)
+        got.append(v.path if isinstance(v, Undefined) else None)
+    assert got == ([(0,), (1,), (0,), (1, 0), (0,), None] if x2[1][0]
+                   else [(1, 1), None, None, None, None, None])

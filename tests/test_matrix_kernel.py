@@ -567,6 +567,30 @@ def test_closed_form_inverse_matches_the_elimination():
                                                           (False, False))} <= seen
 
 
+def test_integer_diagonal_and_1x1_inverse_need_no_gcd_pass():
+    # both results skip _normalise: each must equal the _normal result of
+    # the same unreduced rows
+    rng = random.Random("no-gcd-pass")
+    for _ in range(30):
+        n = rng.choice((1, 2, 3, 5))
+        a = rand_wide_matrix(rng, n, n)
+        for c in (rng.randint(-10 ** 12, 10 ** 12), F(rng.randint(-9, 9)), 0):
+            num = [row[:] for row in a.num]
+            for i, row in enumerate(num):
+                row[i] += c.numerator * a.den
+            assert a.add_scalar(c) == Matrix._normal(num, a.den, n)
+    signs = set()
+    for _ in range(30):
+        x = F(rng.randint(-10 ** 15, 10 ** 15) or 1, rng.randint(1, 10 ** 9))
+        a = Matrix.of(QQ, [[x]])
+        inv, d = inv_det(a)
+        assert inv == Matrix._normal([[a.den]], a.num[0][0], 1)
+        assert inv.entry(0, 0) == 1 / x and d == x
+        signs.add(x < 0)
+    assert signs == {False, True}
+    assert inv_det(Matrix.of(QQ, [[0]])) is None
+
+
 def test_amplified_matmul_matches_the_dense_product():
     rng = random.Random("amplified")
     for m, s, q in ((1, 3, 2), (2, 2, 4), (3, 1, 3), (2, 3, 0), (2, 0, 2), (0, 2, 2)):
